@@ -5,7 +5,8 @@ linguistic metaphors."""
 from .conllu import Sentence, Token, iter_sentences, parse_conllu
 from .engine import (ConceptualMetaphor, SourceConcept, WeightedSource,
                      WeightedTuple, build_cms, cluster_sources, filter_sources,
-                     generate_sources, salient_properties, tuple_weight)
+                     generate_sources, rank_sources, salient_properties,
+                     tuple_weight)
 from .extraction import (DEFAULT_RULES, ExtractionRule, RuleArc,
                          extract_propositions, load_rules)
 from .generalize import generalize_store
@@ -13,8 +14,8 @@ from .gold import GoldMapping, GoldReport, eval_gold, load_gold
 from .lm import (ExpansionTable, LMHit, expand_domain, find_lms,
                  load_expansion_table, sample_hits)
 from .store import Occurrence, PatternKey, Proposition, Store, merge_stores
-from .taxonomy import Taxonomy, TaxonomyNode, load_taxonomy, map_compound, map_noun
-from .topics import TopicMatrix, load_topic_matrix, relatedness
+from .taxonomy import Taxonomy, TaxonomyNode, load_taxonomy, map_noun
+from .topics import TopicMatrix, load_topic_matrix
 
 __version__ = "0.1.0"
 
@@ -26,7 +27,7 @@ __all__ = [
     "build_cms", "cluster_sources", "eval_gold", "expand_domain",
     "extract_propositions", "filter_sources", "find_lms", "generalize_store",
     "generate_sources", "iter_sentences", "load_expansion_table", "load_gold",
-    "load_rules", "load_taxonomy", "load_topic_matrix", "map_compound",
-    "map_noun", "merge_stores", "parse_conllu", "relatedness",
-    "salient_properties", "sample_hits", "tuple_weight",
+    "load_rules", "load_taxonomy", "load_topic_matrix", "map_noun",
+    "merge_stores", "parse_conllu", "rank_sources", "salient_properties",
+    "sample_hits", "tuple_weight",
 ]

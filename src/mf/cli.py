@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import engine, generalize, gold as gold_mod
+from . import engine, generalize, gold as gold_mod, textio
 from .config import PipelineConfig, load_config
 from .conllu import iter_sentences
 from .errors import MFError
@@ -96,32 +96,30 @@ def _configure(args) -> PipelineConfig:
     if args.config:
         cfg = load_config(_need(args.config, "config file"), cfg)
     for key in ("workdir", "threshold", "k", "top_sources", "top_cms", "seed",
-                "min_freq", "per_pair"):
+                "min_freq", "per_pair", "rules", "taxonomy", "topic_matrix",
+                "expansion_table", "gold", "sidecar"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    for key in ("rules", "taxonomy", "topic_matrix", "expansion_table",
-                "gold", "sidecar"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    corpus = getattr(args, "corpus", None)
-    if corpus:
-        cfg.corpus = corpus[0] if len(corpus) == 1 else None
-        cfg._corpus_shards = list(corpus)  # CLI may pass several shards
-    targets = getattr(args, "target", None)
-    if targets:
-        cfg.targets = tuple(targets)
+    if getattr(args, "corpus", None):
+        cfg.corpus = tuple(args.corpus)
+    if getattr(args, "target", None):
+        cfg.targets = tuple(args.target)
     if getattr(args, "no_generalize", False):
         cfg.generalize = False
     return cfg.validate()
 
 
 def _corpus_paths(cfg: PipelineConfig) -> list[Path]:
-    shards = getattr(cfg, "_corpus_shards", None)
-    if shards:
-        return [_need(s, "corpus") for s in shards]
-    return [_need(cfg.corpus, "corpus")]
+    paths = [_need(s, "corpus") for s in cfg.corpus] or [_need(None, "corpus")]
+    # sentences without sent_id are named after their shard's file name
+    seen = set()
+    for p in paths:
+        if p.name in seen:
+            raise MFError(f"two corpus shards are named {p.name!r}, so "
+                          "sentences without sent_id would share ids")
+        seen.add(p.name)
+    return paths
 
 
 def _workdir(cfg: PipelineConfig) -> Path:
@@ -146,7 +144,7 @@ def _load_tm(cfg: PipelineConfig):
     if not cfg.topic_matrix:
         return None
     tm = load_topic_matrix(_need(cfg.topic_matrix, "topic matrix"))
-    if tm.topics != cfg.topics:
+    if cfg.topics is not None and tm.topics != cfg.topics:
         _warn(f"topic matrix has {tm.topics} topics, config expects {cfg.topics}")
     return tm
 
@@ -154,12 +152,6 @@ def _load_tm(cfg: PipelineConfig):
 def _load_table(cfg: PipelineConfig):
     return load_expansion_table(_need(cfg.expansion_table, "expansion table")) \
         if cfg.expansion_table else None
-
-
-def _ranked_sources(cfg: PipelineConfig, store: Store, target: str, tm):
-    ranked = engine.generate_sources(target, store)
-    ranked = engine.filter_sources(ranked, target, tm, cfg.threshold)
-    return ranked[:cfg.top_sources]
 
 
 def cmd_extract(cfg: PipelineConfig) -> int:
@@ -194,13 +186,10 @@ def cmd_properties(cfg: PipelineConfig) -> int:
     wd = _workdir(cfg)
     for target in _targets(cfg):
         out = wd / f"properties.{target}.tsv"
-        if not store.tuples_containing(target):
-            _warn(f"lexeme {target!r} not found in the store")
-            out.write_text("", encoding="utf-8")
-            print(f"{out}: 0 tuples")
-            continue
         ranked = engine.salient_properties(target, store, top_n=None)
-        with open(out, "w", encoding="utf-8") as fh:
+        if not ranked:
+            _warn(f"lexeme {target!r} not found in the store")
+        with textio.writer(out) as fh:
             for wt in ranked:
                 fh.write(f"{wt.weight!r}\t{wt.frequency}\t{wt.position}\t"
                          f"{wt.prop.text}\n")
@@ -213,11 +202,12 @@ def cmd_sources(cfg: PipelineConfig) -> int:
     tm = _load_tm(cfg)
     wd = _workdir(cfg)
     for target in _targets(cfg):
-        ranked = _ranked_sources(cfg, store, target, tm)
+        ranked = engine.rank_sources(target, store, tm, cfg.threshold,
+                                     cfg.top_sources)
         if not ranked:
             _warn(f"no sources generated for {target!r}")
         out = wd / f"sources.{target}.tsv"
-        with open(out, "w", encoding="utf-8") as fh:
+        with textio.writer(out) as fh:
             for src in ranked:
                 patterns = "|".join(sorted(p.text for p in src.evidence))
                 fh.write(f"{src.lexeme}\t{src.weight!r}\t{len(src.evidence)}\t"
@@ -232,7 +222,8 @@ def cmd_cms(cfg: PipelineConfig) -> int:
     tax = load_taxonomy(_need(cfg.taxonomy, "taxonomy"))
     wd = _workdir(cfg)
     for target in _targets(cfg):
-        ranked = _ranked_sources(cfg, store, target, tm)
+        ranked = engine.rank_sources(target, store, tm, cfg.threshold,
+                                     cfg.top_sources)
         concepts = engine.cluster_sources(ranked, tax, cfg.k)
         cms = engine.build_cms({target}, concepts, cfg.top_cms)
         records = [{
@@ -245,7 +236,7 @@ def cmd_cms(cfg: PipelineConfig) -> int:
             "weight": cm.weight,
         } for cm in cms]
         out = wd / f"cms.{target}.json"
-        with open(out, "w", encoding="utf-8") as fh:
+        with textio.writer(out) as fh:
             json.dump(records, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"{out}: {len(records)} conceptual metaphors")
@@ -255,13 +246,8 @@ def cmd_cms(cfg: PipelineConfig) -> int:
 def _load_sidecar(cfg: PipelineConfig) -> dict[str, str]:
     if not cfg.sidecar:
         return {}
-    texts = {}
-    for line in _need(cfg.sidecar, "sidecar").read_text(encoding="utf-8").splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        sid, _, text = line.partition("\t")
-        texts[sid] = text
-    return texts
+    return {cols[0]: "\t".join(cols[1:])
+            for _, cols in textio.rows(_need(cfg.sidecar, "sidecar"))}
 
 
 def cmd_find_lms(cfg: PipelineConfig) -> int:
@@ -293,7 +279,7 @@ def cmd_find_lms(cfg: PipelineConfig) -> int:
                         texts[sentence.id] = sentence.text
         sampled = sample_hits(hits, cfg.per_pair, cfg.seed) if hits else []
         out = wd / f"lms.{target}.jsonl"
-        with open(out, "w", encoding="utf-8") as fh:
+        with textio.writer(out) as fh:
             for hit in sampled:
                 record = {
                     "sentence_id": hit.sentence_id,
@@ -321,7 +307,8 @@ def cmd_eval_gold(cfg: PipelineConfig) -> int:
         top_patterns=cfg.top_patterns, warn=_warn)
     out = _workdir(cfg) / "gold_report.txt"
     text = report.render()
-    out.write_text(text, encoding="utf-8")
+    with textio.writer(out) as fh:
+        fh.write(text)
     print(text, end="")
     return 0
 

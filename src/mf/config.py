@@ -6,15 +6,13 @@ from typing import Optional, Union
 
 from .errors import ConfigError
 
-_PATH_KEYS = ("corpus", "rules", "taxonomy", "topic_matrix",
-              "expansion_table", "gold", "sidecar")
 _INT_KEYS = ("min_freq", "k", "top_sources", "top_cms", "per_pair",
              "top_patterns", "seed", "topics")
 
 
 @dataclass
 class PipelineConfig:
-    corpus: Optional[str] = None
+    corpus: tuple[str, ...] = ()
     rules: Optional[str] = None
     taxonomy: Optional[str] = None
     topic_matrix: Optional[str] = None
@@ -30,13 +28,14 @@ class PipelineConfig:
     top_cms: int = 10
     per_pair: int = 10
     top_patterns: int = 10
-    topics: int = 50
+    topics: Optional[int] = None  # when set, checked against the topic matrix
     seed: int = 1
     generalize: bool = True
 
     def validate(self) -> "PipelineConfig":
         for key in _INT_KEYS:
-            if getattr(self, key) < 1:
+            value = getattr(self, key)
+            if value is not None and value < 1:
                 raise ConfigError("must be strictly positive", key)
         if self.threshold < 0:
             raise ConfigError("must be >= 0", "threshold")
@@ -86,6 +85,8 @@ def load_config(source: Union[str, Path], base: Optional[PipelineConfig] = None,
             cfg.generalize = _parse_bool(value, key)
         elif key == "targets":
             cfg.targets = tuple(t.strip() for t in value.split(",") if t.strip())
+        elif key == "corpus":
+            cfg.corpus = (value,) if value else ()
         else:
             setattr(cfg, key, value or None)
     return cfg.validate()

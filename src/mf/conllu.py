@@ -3,17 +3,17 @@
 Only the ID, FORM, LEMMA, UPOS, HEAD and DEPREL columns are used.
 Multiword-token ranges (ID "1-2") and empty nodes (ID "1.1") are skipped.
 Lemmas are lower-cased on load; a "_" lemma falls back to the form.
+A sentence without a "# sent_id" comment is named "s<n>" after its
+position, prefixed with the file name ("a.conllu:s3") when read from a
+path, so sentences from different shards keep distinct ids.
 """
 
-import gzip
-import io
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import Iterator
 
+from . import textio
 from .errors import ConlluParseError, SentenceStructureError
-
-TextSource = Union[str, Path, IO[str], Iterable[str]]
+from .textio import TextSource
 
 
 @dataclass(frozen=True)
@@ -55,30 +55,14 @@ class Sentence:
         return self
 
 
-def _open_lines(source: TextSource) -> Iterator[str]:
-    if isinstance(source, str):
-        # strings holding CoNLL-U text (tabs/newlines) are read directly;
-        # anything else is taken as a filesystem path
-        if source == "" or "\n" in source or "\t" in source:
-            yield from io.StringIO(source)
-            return
-        source = Path(source)
-    if isinstance(source, Path):
-        with open(source, "rb") as raw:
-            head = raw.read(2)
-        opener = gzip.open if head == b"\x1f\x8b" else open
-        with opener(source, "rt", encoding="utf-8") as fh:
-            yield from fh
-    else:
-        yield from source
-
-
 def iter_sentences(source: TextSource) -> Iterator[Sentence]:
     """Stream sentences from CoNLL-U text, a path, or an open file.
 
     Raises ConlluParseError for malformed lines (with line number) and
     SentenceStructureError for dangling heads (with sentence id).
     """
+    path = textio.as_path(source)
+    prefix = f"{path.name}:" if path is not None else ""
     rows: list[Token] = []
     sent_id = None
     count = 0
@@ -89,12 +73,13 @@ def iter_sentences(source: TextSource) -> Iterator[Sentence]:
             sent_id = None
             return None
         count += 1
-        sent = Sentence(sent_id if sent_id is not None else f"s{count}", tuple(rows))
+        sent = Sentence(sent_id if sent_id is not None else f"{prefix}s{count}",
+                        tuple(rows))
         rows = []
         sent_id = None
         return sent.validate()
 
-    for lineno, line in enumerate(_open_lines(source), start=1):
+    for lineno, line in enumerate(textio.lines(source), start=1):
         line = line.rstrip("\n").rstrip("\r")
         if not line.strip():
             sent = flush()

@@ -83,34 +83,27 @@ def salient_properties(lexeme: str, store: Store,
     return scored if top_n is None else scored[:top_n]
 
 
-def generate_sources(lexeme: str, store: Store,
-                     s_freq_weighted: bool = False) -> list[WeightedSource]:
+def generate_sources(lexeme: str, store: Store) -> list[WeightedSource]:
     """Weight candidate source lexemes by the seed-tuple weights they share.
 
     A lexeme s is a candidate when some tuple puts s in the same blanked
     position of a pattern that one of the seed's tuples fills; it then
-    collects that seed tuple's weight. The s_freq_weighted variant further
-    multiplies each contribution by s's own relative weight in the shared
-    pattern (experimental; off by default).
+    collects that seed tuple's weight.
     """
     acc: dict[str, WeightedSource] = {}
     # fixed accumulation order keeps float sums bit-identical across runs
     for prop, i in sorted(store.tuples_containing(lexeme)):
         wt = tuple_weight(lexeme, prop, i, store)
         key = prop.pattern(i)
-        total = store.pattern_total(key)
         for other in sorted(store.tuples_matching(key)):
             s = other.slots[i]
             if s == lexeme:
                 continue
-            contribution = wt
-            if s_freq_weighted:
-                contribution *= store.freq(other) / total
             ws = acc.get(s)
             if ws is None:
                 ws = acc[s] = WeightedSource(s, 0.0)
-            ws.weight += contribution
-            ws.evidence[key] = ws.evidence.get(key, 0.0) + contribution
+            ws.weight += wt
+            ws.evidence[key] = ws.evidence.get(key, 0.0) + wt
             ws.evidence_freq += store.freq(other)
     ranked = sorted(acc.values(),
                     key=lambda ws: (-ws.weight, -ws.evidence_freq, ws.lexeme))
@@ -127,6 +120,14 @@ def filter_sources(sources: list[WeightedSource], target: str,
         return list(sources)
     return [s for s in sources
             if tm.is_oov(s.lexeme) or tm.relatedness(target, s.lexeme) <= threshold]
+
+
+def rank_sources(target: str, store: Store, tm: TopicMatrix | None,
+                 threshold: float, top: int) -> list[WeightedSource]:
+    """The target's best `top` sources: generated, then filtered by topic
+    relatedness (no filter without a topic matrix), then truncated."""
+    return filter_sources(generate_sources(target, store), target, tm,
+                          threshold)[:top]
 
 
 def cluster_sources(sources: list[WeightedSource], tax: Taxonomy,

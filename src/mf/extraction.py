@@ -185,15 +185,6 @@ def _match(rule: ExtractionRule, sentence: Sentence,
             yield from extend(0, {anchor: tok.index})
 
 
-def extract_corpus(sentences: Iterable[Sentence],
-                   rules: Iterable[ExtractionRule] | None = None,
-                   ) -> list[Occurrence]:
-    out: list[Occurrence] = []
-    for sentence in sentences:
-        out.extend(extract_propositions(sentence, rules))
-    return out
-
-
 def _rule(label, arcs, upos, slots):
     return ExtractionRule(
         label,

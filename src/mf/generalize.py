@@ -1,10 +1,7 @@
 """Rewriting noun slots to taxonomy classes and merging identical tuples.
 
-Ambiguous nouns fan out to every candidate class. By default each copy
-carries the full original frequency (mass="copy"); mass="split" instead
-divides the frequency across copies as evenly as integers allow, largest
-remainders going to the lexicographically first rewrites, and drops
-zero-frequency copies.
+Ambiguous nouns fan out to every candidate class, and each copy carries
+the full original frequency.
 """
 
 import itertools
@@ -14,14 +11,12 @@ from .store import Proposition, Store
 from .taxonomy import Taxonomy, map_noun
 
 
-def generalize_store(store: Store, tax: Taxonomy, mass: str = "copy") -> Store:
+def generalize_store(store: Store, tax: Taxonomy) -> Store:
     """Return a new frozen store with noun slots rewritten to class ids.
 
     Nouns with no taxonomy candidates keep their original lexeme; identical
     rewritten tuples are merged with summed frequencies.
     """
-    if mass not in ("copy", "split"):
-        raise ValueError(f"mass must be 'copy' or 'split', got {mass!r}")
     mapping_cache: dict[str, tuple[str, ...]] = {}
 
     def options(lexeme: str) -> tuple[str, ...]:
@@ -37,14 +32,6 @@ def generalize_store(store: Store, tax: Taxonomy, mass: str = "copy") -> Store:
         nouns = noun_positions(prop.label)
         slot_options = [options(s) if i in nouns else (s,)
                         for i, s in enumerate(prop.slots)]
-        rewrites = sorted(itertools.product(*slot_options))
-        if mass == "copy":
-            for slots in rewrites:
-                out.add(Proposition(prop.label, slots), freq)
-        else:
-            share, extra = divmod(freq, len(rewrites))
-            for j, slots in enumerate(rewrites):
-                f = share + (1 if j < extra else 0)
-                if f > 0:
-                    out.add(Proposition(prop.label, slots), f)
+        for slots in itertools.product(*slot_options):
+            out.add(Proposition(prop.label, slots), freq)
     return out.freeze()

@@ -7,15 +7,15 @@ expanded source set. Reported pair weights are min-max scaled to [0, 1]
 across the whole report.
 """
 
-import gzip
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Iterable, Optional, Union
+from typing import Optional
 
-from .engine import filter_sources, generate_sources
+from . import textio
+from .engine import rank_sources
 from .errors import FormatError
 from .lm import ExpansionTable, expand_domain
 from .store import Store
+from .textio import TextSource
 from .topics import TopicMatrix
 
 
@@ -73,24 +73,9 @@ class GoldReport:
         return "\n".join(lines) + "\n"
 
 
-def load_gold(source: Union[str, Path, IO[str], Iterable[str]]) -> list[GoldMapping]:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        with open(path, "rb") as raw:
-            head = raw.read(2)
-        opener = gzip.open if head == b"\x1f\x8b" else open
-        with opener(path, "rt", encoding="utf-8") as fh:
-            return _read_gold(fh)
-    return _read_gold(source)
-
-
-def _read_gold(lines: Iterable[str]) -> list[GoldMapping]:
+def load_gold(source: TextSource) -> list[GoldMapping]:
     mappings: dict[str, GoldMapping] = {}
-    for rowno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
+    for rowno, cols in textio.rows(source):
         if len(cols) != 3 or cols[1] not in ("T", "S"):
             raise FormatError("expected name <TAB> T|S <TAB> lexeme", rowno)
         mapping = mappings.setdefault(cols[0], GoldMapping(cols[0]))
@@ -117,10 +102,7 @@ def eval_gold(gold: list[GoldMapping], store: Store,
             continue
         pairs = []
         for target in sorted(expanded_t):
-            ranked = generate_sources(target, store)
-            if tm is not None:
-                ranked = filter_sources(ranked, target, tm, threshold)
-            for src in ranked[:top_sources]:
+            for src in rank_sources(target, store, tm, threshold, top_sources):
                 if src.lexeme in expanded_s:
                     pairs.append(GoldPair(target, src.lexeme, src.weight))
         results.append(MappingResult(mapping.name, bool(pairs), pairs))

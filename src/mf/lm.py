@@ -7,17 +7,17 @@ groups and pools are sorted internally, so the result does not depend on
 input order or scheduling.
 """
 
-import gzip
 import random
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
+from . import textio
 from .conllu import Sentence
 from .engine import salient_properties
 from .errors import FormatError
 from .labels import ROLE_PREP, label_roles
 from .store import Store
+from .textio import TextSource
 
 
 class ExpansionTable:
@@ -41,24 +41,9 @@ class ExpansionTable:
         return len(self._rows)
 
 
-def load_expansion_table(source: Union[str, Path, IO[str], Iterable[str]]) -> ExpansionTable:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        with open(path, "rb") as raw:
-            head = raw.read(2)
-        opener = gzip.open if head == b"\x1f\x8b" else open
-        with opener(path, "rt", encoding="utf-8") as fh:
-            return _read_table(fh)
-    return _read_table(source)
-
-
-def _read_table(lines: Iterable[str]) -> ExpansionTable:
+def load_expansion_table(source: TextSource) -> ExpansionTable:
     rows = []
-    for rowno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
+    for rowno, cols in textio.rows(source):
         if len(cols) != 3:
             raise FormatError("expected lexeme <TAB> relation <TAB> related", rowno)
         rows.append((cols[0], cols[1], cols[2]))

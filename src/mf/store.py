@@ -6,13 +6,13 @@ tuples, then freezes into an indexed read-only structure for lexeme and
 pattern queries.
 """
 
-import gzip
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
+from . import textio
 from .errors import FormatError, StoreStateError
 from .labels import label_arity
+from .textio import TextSource, TextTarget
 
 BLANK_TEXT = "_"
 
@@ -69,12 +69,6 @@ class PatternKey:
         return prop.pattern(self.blank_position) == self
 
     @property
-    def sort_key(self):
-        # blanks render as "" which sorts before any non-empty lemma
-        return (self.label, self.blank_position,
-                tuple("" if s is None else s for s in self.slots))
-
-    @property
     def text(self) -> str:
         rendered = tuple(BLANK_TEXT if s is None else s for s in self.slots)
         return " ".join((self.label,) + rendered)
@@ -86,7 +80,6 @@ class Occurrence:
     prop: Proposition
     sentence_id: str
     token_indices: tuple[int, ...]
-    frequency: int = 1
 
 
 class Store:
@@ -125,12 +118,9 @@ class Store:
         self._counts[prop] = self._counts.get(prop, 0) + frequency
         return self
 
-    def add_occurrence(self, occ: Occurrence) -> "Store":
-        return self.add(occ.prop, occ.frequency)
-
     def update(self, occurrences: Iterable[Occurrence]) -> "Store":
         for occ in occurrences:
-            self.add_occurrence(occ)
+            self.add(occ.prop)
         return self
 
     def merge(self, other: "Store") -> "Store":
@@ -208,50 +198,23 @@ class Store:
 
     # -- persistence -------------------------------------------------------
 
-    def save(self, target: Union[str, Path, IO[str]]) -> None:
+    def save(self, target: TextTarget) -> None:
         """Write TSV rows (label, slots..., frequency) sorted by identity.
 
         Paths ending in .gz are written gzip-compressed.
         """
-        if isinstance(target, (str, Path)):
-            path = Path(target)
-            opener = gzip.open if path.suffix == ".gz" else open
-            with opener(path, "wt", encoding="utf-8") as fh:
-                self._write(fh)
-        else:
-            self._write(target)
-
-    def _write(self, fh: IO[str]) -> None:
-        for prop, freq in sorted(self._counts.items()):
-            fh.write("\t".join((prop.label,) + prop.slots + (str(freq),)) + "\n")
+        with textio.writer(target) as fh:
+            for prop, freq in sorted(self._counts.items()):
+                fh.write("\t".join((prop.label,) + prop.slots + (str(freq),)) + "\n")
 
     @classmethod
-    def load(cls, source: Union[str, Path, IO[str], Iterable[str]],
-             freeze: bool = True, min_freq: int = 1) -> "Store":
-        """Read a store TSV (gzip detected by magic bytes), optionally freezing.
+    def load(cls, source: TextSource) -> "Store":
+        """Read a store TSV (gzip detected by magic bytes) and freeze it.
 
         Raises FormatError with the row number for bad arity or frequency.
         """
         store = cls()
-        if isinstance(source, (str, Path)):
-            path = Path(source)
-            with open(path, "rb") as raw:
-                head = raw.read(2)
-            opener = gzip.open if head == b"\x1f\x8b" else open
-            with opener(path, "rt", encoding="utf-8") as fh:
-                store._read(fh)
-        else:
-            store._read(source)
-        if freeze:
-            store.freeze(min_freq=min_freq)
-        return store
-
-    def _read(self, lines: Iterable[str]) -> None:
-        for rowno, line in enumerate(lines, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cols = line.split("\t")
+        for rowno, cols in textio.rows(source):
             if len(cols) < 3:
                 raise FormatError("expected label, slots..., frequency", rowno)
             label, slots, freq_text = cols[0], tuple(cols[1:-1]), cols[-1]
@@ -266,7 +229,8 @@ class Store:
                 prop = Proposition(label, slots)
             except FormatError as exc:
                 raise FormatError(str(exc), rowno) from None
-            self.add(prop, freq)
+            store.add(prop, freq)
+        return store.freeze()
 
 
 def merge_stores(stores: Iterable[Store]) -> Store:

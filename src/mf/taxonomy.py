@@ -14,12 +14,12 @@ Lexical items and names are matched case-insensitively; underscores count
 as spaces, so "new_york" and "New York" are the same item.
 """
 
-import gzip
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Iterable, Optional, Union
+from typing import Optional
 
+from . import textio
 from .errors import FormatError
+from .textio import TextSource
 
 CLASS = "class"
 INSTANCE = "instance"
@@ -152,52 +152,11 @@ def map_noun(noun: str, tax: Taxonomy) -> set[str]:
     return tax._to_classes(nodes)
 
 
-def map_compound(tokens: Iterable[str], tax: Taxonomy) -> set[str]:
-    """Map a multi-token compound span to class node ids.
-
-    The longest contiguous sub-span with an exact lexical match wins (ties
-    leftmost); remaining disjoint spans may contribute too, with class nodes
-    preferred over instances across all matched parts.
-    """
-    words = [_normalize(t) for t in tokens]
-    if len(words) < 2:
-        raise ValueError("compound mapping needs at least 2 tokens")
-    spans = []
-    for length in range(len(words), 0, -1):
-        for start in range(0, len(words) - length + 1):
-            item = " ".join(words[start:start + length])
-            if item in tax.lexical_index:
-                spans.append((start, length))
-    spans.sort(key=lambda s: (-s[1], s[0]))
-    consumed: set[int] = set()
-    nodes: set[str] = set()
-    for start, length in spans:
-        positions = set(range(start, start + length))
-        if positions & consumed:
-            continue
-        consumed |= positions
-        nodes |= tax.lexical_index[" ".join(words[start:start + length])]
-    if not nodes:
-        return set()
-    return tax._to_classes(nodes)
-
-
-def load_taxonomy(source: Union[str, Path, IO[str], Iterable[str]]) -> Taxonomy:
-    """Read the sectioned taxonomy TSV described in the module docstring."""
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        with open(path, "rb") as raw:
-            head = raw.read(2)
-        opener = gzip.open if head == b"\x1f\x8b" else open
-        with opener(path, "rt", encoding="utf-8") as fh:
-            return _read_taxonomy(fh)
-    return _read_taxonomy(source)
-
-
 _SECTIONS = {"NODES", "EDGES", "LEXICON", "NAMES", "PERSON"}
 
 
-def _read_taxonomy(lines: Iterable[str]) -> Taxonomy:
+def load_taxonomy(source: TextSource) -> Taxonomy:
+    """Read the sectioned taxonomy TSV described in the module docstring."""
     section = None
     kinds: dict[str, str] = {}
     parents: dict[str, set[str]] = {}
@@ -206,16 +165,13 @@ def _read_taxonomy(lines: Iterable[str]) -> Taxonomy:
     surnames: set[str] = set()
     person: Optional[str] = None
 
-    for rowno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        if line.strip() in _SECTIONS:
-            section = line.strip()
+    for rowno, cols in textio.rows(source):
+        name = "\t".join(cols).strip()
+        if name in _SECTIONS:
+            section = name
             continue
         if section is None:
             raise FormatError("row before any section header", rowno)
-        cols = line.split("\t")
         if section == "NODES":
             if len(cols) != 2:
                 raise FormatError("NODES rows take: id <TAB> kind", rowno)
@@ -237,11 +193,8 @@ def _read_taxonomy(lines: Iterable[str]) -> Taxonomy:
 
     nodes = {}
     for node_id, kind in kinds.items():
-        try:
-            nodes[node_id] = TaxonomyNode(node_id, kind,
-                                          frozenset(parents.get(node_id, ())))
-        except FormatError:
-            raise
+        nodes[node_id] = TaxonomyNode(node_id, kind,
+                                      frozenset(parents.get(node_id, ())))
     for child in parents:
         if child not in nodes:
             raise FormatError(f"EDGES references unknown node {child!r}")

@@ -1,0 +1,86 @@
+"""How mf reads and writes its text files.
+
+Every reader takes a path (gzip is detected by its magic bytes), an open
+text file, or an iterable of lines. A str holding a tab or a newline, or
+the empty str, is text rather than a path.
+
+Tabular files are read as rows of tab-separated columns. Blank lines are
+skipped, and a line starting with '#' is a comment only before the first
+data row, so lexemes such as '#metoo' survive a write and a read.
+
+Every writer picks gzip from a .gz suffix and writes to a temporary file
+beside the target that replaces it only once the write has succeeded, so a
+failed stage never leaves a half-written artifact behind.
+"""
+
+import gzip
+import io
+import os
+from contextlib import contextmanager
+from pathlib import Path
+from typing import IO, Iterable, Iterator, Optional, Union
+
+TextSource = Union[str, Path, IO[str], Iterable[str]]
+TextTarget = Union[str, Path, IO[str]]
+
+_GZIP_MAGIC = b"\x1f\x8b"
+
+
+def as_path(source: TextSource) -> Optional[Path]:
+    """The file a source names, or None for text, open files and lines."""
+    if isinstance(source, str):
+        if source == "" or "\n" in source or "\t" in source:
+            return None
+        return Path(source)
+    return source if isinstance(source, Path) else None
+
+
+def lines(source: TextSource) -> Iterator[str]:
+    """Stream the lines of a source, line endings kept."""
+    path = as_path(source)
+    if path is None:
+        yield from io.StringIO(source) if isinstance(source, str) else source
+        return
+    with open(path, "rb") as raw:
+        compressed = raw.read(2) == _GZIP_MAGIC
+    with (gzip.open if compressed else open)(path, "rt", encoding="utf-8") as fh:
+        yield from fh
+
+
+def rows(source: TextSource) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, tab-separated columns) for every data row.
+
+    Line numbers count every line from 1, so errors can name the row.
+    """
+    in_data = False
+    for rowno, line in enumerate(lines(source), start=1):
+        line = line.rstrip("\n")
+        if not line.strip() or (not in_data and line.startswith("#")):
+            continue
+        in_data = True
+        yield rowno, line.split("\t")
+
+
+@contextmanager
+def writer(target: TextTarget) -> Iterator[IO[str]]:
+    """Open a path for UTF-8 text writing, or pass an open file through.
+
+    A path is written gzip-compressed when it ends in .gz, and is replaced
+    atomically when the block exits without an exception; otherwise the
+    temporary file is removed and the earlier file is left as it was.
+    """
+    if not isinstance(target, (str, Path)):
+        yield target
+        return
+    path = Path(target)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as raw:
+            binary = (gzip.GzipFile(path, "wb", fileobj=raw)
+                      if path.suffix == ".gz" else raw)
+            with io.TextIOWrapper(binary, encoding="utf-8") as fh:
+                yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -6,13 +6,11 @@ out of vocabulary; their relatedness to anything is 0 and downstream
 filtering must keep them.
 """
 
-import gzip
-from pathlib import Path
-from typing import IO, Iterable, Union
-
 import numpy as np
 
+from . import textio
 from .errors import FormatError
+from .textio import TextSource, TextTarget
 
 
 class TopicMatrix:
@@ -59,37 +57,19 @@ class TopicMatrix:
         return bool(np.all(np.abs(sums - 1.0) <= tol))
 
 
-def relatedness(w1: str, w2: str, tm: TopicMatrix) -> float:
-    return tm.relatedness(w1, w2)
-
-
-def load_topic_matrix(source: Union[str, Path, IO[str], Iterable[str]]) -> TopicMatrix:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        with open(path, "rb") as raw:
-            head = raw.read(2)
-        opener = gzip.open if head == b"\x1f\x8b" else open
-        with opener(path, "rt", encoding="utf-8") as fh:
-            return _read(fh)
-    return _read(source)
-
-
-def _read(lines: Iterable[str]) -> TopicMatrix:
+def load_topic_matrix(source: TextSource) -> TopicMatrix:
     topics = None
     phi: dict[str, np.ndarray] = {}
-    for rowno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
+    for rowno, cols in textio.rows(source):
         if topics is None:
-            if not line.startswith("T="):
+            header = "\t".join(cols)
+            if not header.startswith("T="):
                 raise FormatError("first row must be the header T=<count>", rowno)
             try:
-                topics = int(line[2:])
+                topics = int(header[2:])
             except ValueError:
-                raise FormatError(f"bad topic count {line[2:]!r}", rowno) from None
+                raise FormatError(f"bad topic count {header[2:]!r}", rowno) from None
             continue
-        cols = line.split("\t")
         if len(cols) != topics + 1:
             raise FormatError(
                 f"expected lexeme plus {topics} probabilities, got {len(cols) - 1}",
@@ -106,17 +86,9 @@ def _read(lines: Iterable[str]) -> TopicMatrix:
     return TopicMatrix(topics, phi)
 
 
-def save_topic_matrix(tm: TopicMatrix, target: Union[str, Path, IO[str]]) -> None:
-    def write(fh):
+def save_topic_matrix(tm: TopicMatrix, target: TextTarget) -> None:
+    with textio.writer(target) as fh:
         fh.write(f"T={tm.topics}\n")
         for word in sorted(tm.vocabulary()):
             probs = "\t".join(repr(float(x)) for x in tm.vector(word))
             fh.write(f"{word}\t{probs}\n")
-
-    if isinstance(target, (str, Path)):
-        path = Path(target)
-        opener = gzip.open if path.suffix == ".gz" else open
-        with opener(path, "wt", encoding="utf-8") as fh:
-            write(fh)
-    else:
-        write(target)

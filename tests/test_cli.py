@@ -221,3 +221,51 @@ def test_generalized_store_feeds_downstream(workdir):
     assert code == 0
     text = (workdir / "sources.poverty.tsv").read_text("utf-8")
     assert "wordnet_" in text  # co-filler nouns were rewritten to class ids
+
+
+ENEMY_POVERTY = """\
+1\tenemy\tenemy\tNOUN\t_\t_\t2\tcompound\t_\t_
+2\tpoverty\tpoverty\tNOUN\t_\t_\t0\troot\t_\t_
+"""
+
+
+def test_find_lms_keeps_hits_from_shards_without_sent_ids(workdir, tmp_path):
+    shards = [tmp_path / "a.conllu", tmp_path / "b.conllu"]
+    for shard in shards:
+        shard.write_text(ENEMY_POVERTY, encoding="utf-8")
+    args = ["--workdir", workdir, "--no-generalize"]
+    assert run("extract", "--corpus", *shards, *args) == 0
+    (workdir / "cms.poverty.json").write_text(json.dumps([{
+        "target": ["poverty"], "source_node": "wordnet_enemy",
+        "members": [{"lexeme": "enemy", "weight": 1.0}],
+        "patterns": [], "weight": 1.0}]), encoding="utf-8")
+    outputs = []
+    for order in (shards, shards[::-1]):
+        assert run("find-lms", "--target", "poverty", "--corpus", *order,
+                   *args) == 0
+        outputs.append((workdir / "lms.poverty.jsonl").read_text("utf-8"))
+    assert outputs[0] == outputs[1]
+    ids = [json.loads(line)["sentence_id"] for line in outputs[0].splitlines()]
+    assert sorted(ids) == ["a.conllu:s1", "b.conllu:s1"]
+
+
+def test_shards_sharing_a_file_name_rejected(workdir, tmp_path, capsys):
+    shards = [tmp_path / d / "part.conllu" for d in ("x", "y")]
+    for shard in shards:
+        shard.parent.mkdir()
+        shard.write_text(ENEMY_POVERTY, encoding="utf-8")
+    assert run("extract", "--corpus", *shards, "--workdir", workdir) == 2
+    assert "part.conllu" in capsys.readouterr().err
+
+
+def test_topic_count_checked_only_when_configured(workdir, tmp_path, capsys):
+    args = ["--workdir", workdir, "--no-generalize", "--target", "poverty",
+            "--topic-matrix", FIXTURES / "topics.tsv"]
+    run("extract", "--corpus", FIXTURES / "poverty.conllu", *args[:3])
+    capsys.readouterr()
+    assert run("sources", *args) == 0
+    assert "topics" not in capsys.readouterr().err
+    cfg = tmp_path / "topics.cfg"
+    cfg.write_text("topics = 50\n", encoding="utf-8")
+    assert run("sources", "--config", cfg, *args) == 0
+    assert "config expects 50" in capsys.readouterr().err

@@ -11,7 +11,7 @@ def test_defaults_match_published_parameters():
     assert cfg.top_sources == 100
     assert cfg.top_cms == 10
     assert cfg.per_pair == 10
-    assert cfg.topics == 50
+    assert cfg.topics is None
     assert cfg.min_freq == 1
     assert cfg.generalize is True
 
@@ -27,7 +27,7 @@ def test_load_and_override(tmp_path):
         "generalize = false\n",
         encoding="utf-8")
     cfg = load_config(path)
-    assert cfg.corpus == "corpus.conllu"
+    assert cfg.corpus == ("corpus.conllu",)
     assert cfg.threshold == 0.1
     assert cfg.k == 3
     assert cfg.targets == ("poverty", "wealth")

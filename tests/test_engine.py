@@ -273,14 +273,3 @@ def test_rankings_deterministic(corpus_store, taxonomy, topic_matrix):
     first = run()
     for _ in range(3):
         assert run() == first
-
-
-def test_s_freq_weighted_variant():
-    store = _store(vn("fight", "poverty", 2), vn("fight", "crime", 6),
-                   vn("fight", "war", 2))
-    plain = {s.lexeme: s.weight for s in generate_sources("poverty", store)}
-    assert plain["crime"] == plain["war"] == pytest.approx(0.2)
-    weighted = {s.lexeme: s.weight
-                for s in generate_sources("poverty", store, s_freq_weighted=True)}
-    assert weighted["crime"] == pytest.approx(0.2 * 0.6)
-    assert weighted["war"] == pytest.approx(0.2 * 0.2)

@@ -83,7 +83,6 @@ def test_provenance_indices():
                 if occ.prop.label in ("NVVPN",)}
     assert by_label["NVVPN"].token_indices == (1, 2, 4, 5, 6)
     assert by_label["NVVPN"].sentence_id == "school1"
-    assert by_label["NVVPN"].frequency == 1
 
 
 def test_passive_normalization():

@@ -1,8 +1,6 @@
 import io
 import random
 
-import pytest
-
 from mf import Proposition, Store, generalize_store, load_taxonomy
 
 from .randstores import make_random_store
@@ -63,14 +61,6 @@ def test_ambiguity_bookkeeping_identity():
     assert result.total() == store.total() + (2 - 1) * 4
 
 
-def test_split_mass_variant():
-    store = Store().add(Proposition("VN", ("rob", "bank")), 5).freeze()
-    result = generalize_store(store, _tax(AMBIG_TAXONOMY), mass="split")
-    assert result.total() == 5
-    freqs = sorted(f for _, f in result)
-    assert freqs == [2, 3]
-
-
 def test_verbs_and_prepositions_untouched():
     # "live" is also a lexical item, but only noun slots are rewritten
     tax = _tax("NODES\nwordnet_life\tclass\nwordnet_city\tclass\n"
@@ -98,8 +88,3 @@ def test_output_is_frozen():
     store = Store().add(Proposition("VN", ("a", "b"))).freeze()
     result = generalize_store(store, _tax("NODES\nroot\tclass\n"))
     assert result.frozen
-
-
-def test_unknown_mass_rejected(corpus_store):
-    with pytest.raises(ValueError):
-        generalize_store(corpus_store, _tax("NODES\nroot\tclass\n"), mass="half")

@@ -1,12 +1,17 @@
 import gzip
 import io
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mf import PatternKey, Proposition, Store, merge_stores
 from mf.errors import FormatError, StoreStateError
+from mf.labels import DEFAULT_LABELS, label_arity
 
+from .lexemes import LEXEMES
 from .randstores import brute_force_containing, make_random_store
 
 
@@ -101,15 +106,23 @@ def test_indexes_agree_with_linear_scan():
                 brute_force_containing(lexeme, store)
 
 
-def test_save_load_roundtrip(tmp_path):
+PROPOSITIONS = st.sampled_from(DEFAULT_LABELS).flatmap(lambda label: st.builds(
+    Proposition, st.just(label),
+    st.tuples(*[LEXEMES] * label_arity(label))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(PROPOSITIONS, st.integers(1, 1000)), max_size=8),
+       st.sampled_from(["store.tsv", "store.tsv.gz"]))
+def test_save_load_roundtrip(entries, name):
     store = Store()
-    store.add(vn("fight", "poverty"), 3)
-    store.add(Proposition("NVPN", ("majority", "live", "in", "poverty")), 7)
-    store.add(Proposition("AN", ("deep", "hole")), 2)
+    for prop, freq in entries:
+        store.add(prop, freq)
     store.freeze()
-    path = tmp_path / "store.tsv"
-    store.save(path)
-    assert Store.load(path) == store
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        store.save(path)
+        assert Store.load(path) == store
 
 
 def test_save_load_gzip(tmp_path):

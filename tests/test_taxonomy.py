@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from mf import load_taxonomy, map_compound, map_noun
+from mf import load_taxonomy, map_noun
 from mf.errors import FormatError
 
 
@@ -46,26 +46,6 @@ def test_map_noun_returns_classes_only(taxonomy):
 
 def test_node_id_recognized_for_generalized_slots(taxonomy):
     assert map_noun("wordnet_enemy", taxonomy) == {"wordnet_enemy"}
-
-
-def test_compound_longest_sequence_wins(taxonomy):
-    got = map_compound(["new", "york", "times"], taxonomy)
-    assert got == {"wordnet_newspaper"}
-    assert "wordnet_city" not in got and "wordnet_time" not in got
-
-
-def test_compound_prefers_class_over_instance(taxonomy):
-    got = map_compound(["musician", "peter", "gabriel"], taxonomy)
-    assert got == {"wordnet_musician"}
-
-
-def test_compound_without_matches(taxonomy):
-    assert map_compound(["qq", "zz"], taxonomy) == set()
-
-
-def test_compound_needs_two_tokens(taxonomy):
-    with pytest.raises(ValueError):
-        map_compound(["solo"], taxonomy)
 
 
 def test_ancestors_and_hyponymy(taxonomy):

@@ -1,0 +1,49 @@
+import gzip
+import os
+
+import numpy as np
+import pytest
+
+from mf import (Store, load_expansion_table, load_gold, load_taxonomy,
+                load_topic_matrix, textio)
+
+from .conftest import FIXTURES
+
+
+def test_hash_starts_a_comment_only_before_data():
+    text = "# comment\n\n#another\nT=2\n#metoo\t1\t0\n\nnaïve\t0\t1\n"
+    assert list(textio.rows(text)) == [
+        (4, ["T=2"]), (5, ["#metoo", "1", "0"]), (7, ["naïve", "0", "1"])]
+
+
+@pytest.mark.parametrize("name", ["artifact.tsv", "artifact.tsv.gz"])
+def test_failed_write_keeps_earlier_artifact(tmp_path, name):
+    path = tmp_path / name
+    with textio.writer(path) as fh:
+        fh.write("earlier\n")
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        with textio.writer(path) as fh:
+            fh.write("half of a later artifact\n" * 1000)
+            raise RuntimeError("crash mid-write")
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [name]
+
+
+def _topic_view(tm):
+    return tm.topics, {w: tuple(tm.vector(w)) for w in tm.vocabulary()}
+
+
+@pytest.mark.parametrize("fixture, load, view", [
+    ("gold/gold_store.tsv", Store.load, lambda store: store),
+    ("topics.tsv", load_topic_matrix, _topic_view),
+    ("expansion.tsv", load_expansion_table, vars),
+    ("gold/gold.tsv", load_gold, lambda mappings: mappings),
+    ("taxonomy.tsv", load_taxonomy, lambda tax: tax),
+])
+def test_loaders_read_gzip_transparently(tmp_path, fixture, load, view):
+    plain = FIXTURES / fixture
+    packed = tmp_path / (plain.name + ".gz")
+    packed.write_bytes(gzip.compress(plain.read_bytes()))
+    assert view(load(packed)) == view(load(plain))
+    assert view(load(str(packed))) == view(load(plain))

@@ -1,11 +1,17 @@
 import io
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mf import TopicMatrix, load_topic_matrix, relatedness
+from mf import TopicMatrix, load_topic_matrix
 from mf.errors import FormatError
+from mf.topics import save_topic_matrix
+
+from .lexemes import LEXEMES
 
 
 def _tm(rows, topics=2):
@@ -61,7 +67,6 @@ def test_load_and_header(tmp_path):
     tm = load_topic_matrix(path)
     assert tm.topics == 3
     assert tm.relatedness("alpha", "beta") == pytest.approx(0.15)
-    assert relatedness("alpha", "beta", tm) == tm.relatedness("alpha", "beta")
 
 
 def test_missing_header_rejected():
@@ -80,12 +85,17 @@ def test_negative_probability_rejected():
         load_topic_matrix(io.StringIO("T=2\nalpha\t-0.5\t0.5\n"))
 
 
-def test_save_load_roundtrip(tmp_path):
-    from mf.topics import save_topic_matrix
-    tm = _tm({"a": (0.5, 0.25), "b": (0.5, 0.75)})
-    path = tmp_path / "phi.tsv"
-    save_topic_matrix(tm, path)
-    back = load_topic_matrix(path)
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda t: st.dictionaries(
+    LEXEMES, st.lists(st.floats(0, 1), min_size=t, max_size=t), max_size=6)),
+    st.sampled_from(["phi.tsv", "phi.tsv.gz"]))
+def test_save_load_roundtrip(rows, name):
+    topics = len(next(iter(rows.values()), [0.5]))
+    tm = _tm(rows, topics)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        save_topic_matrix(tm, path)
+        back = load_topic_matrix(path)
     assert back.topics == tm.topics
     assert back.vocabulary() == tm.vocabulary()
     for w in tm.vocabulary():
