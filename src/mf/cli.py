@@ -137,7 +137,7 @@ def _active_store(cfg: PipelineConfig) -> Store:
 def _targets(cfg: PipelineConfig) -> tuple[str, ...]:
     if not cfg.targets:
         raise MFError("no target lexemes (set targets= in the config or pass --target)")
-    return cfg.targets
+    return tuple(dict.fromkeys(cfg.targets))
 
 
 def _load_tm(cfg: PipelineConfig):
@@ -256,31 +256,40 @@ def cmd_find_lms(cfg: PipelineConfig) -> int:
     wd = _workdir(cfg)
     paths = _corpus_paths(cfg)
     sidecar = _load_sidecar(cfg)
-    for target in _targets(cfg):
-        cm_path = _need(str(wd / f"cms.{target}.json"), f"cms.{target}.json")
-        with open(cm_path, encoding="utf-8") as fh:
-            records = json.load(fh)
-        specs = []
-        for rec in records:
-            targets = expand_domain(set(rec["target"]), table, store,
-                                    cfg.top_patterns)
-            sources = expand_domain({m["lexeme"] for m in rec["members"]},
-                                    table, store, cfg.top_patterns)
-            specs.append((targets, sources, ",".join(sorted(rec["target"])),
-                          rec["source_node"]))
-        hits = []
-        texts = {}
+    targets = _targets(cfg)
+    specs = []
+    for target in targets:
+        name = f"cms.{target}.json"
+        cm_path = _need(str(wd / name), name)
+        for rec in json.loads("".join(textio.lines(cm_path))):
+            # hits are routed to lms.<t>.jsonl by their target domain
+            if rec["target"] != [target]:
+                raise MFError(f"{cm_path}: a conceptual metaphor has target "
+                              f"{rec['target']!r}, expected {[target]!r}")
+            specs.append((expand_domain({target}, table, store, cfg.top_patterns),
+                          expand_domain({m["lexeme"] for m in rec["members"]},
+                                        table, store, cfg.top_patterns),
+                          target, rec["source_node"]))
+    found = dict.fromkeys(targets, 0)
+    texts = {}
+
+    def hits():
         for path in paths:
             for sentence in iter_sentences(path):
-                for targets, sources, t_dom, s_dom in specs:
-                    for hit in find_lms([sentence], targets, sources,
+                for t_lexemes, s_lexemes, t_dom, s_dom in specs:
+                    for hit in find_lms([sentence], t_lexemes, s_lexemes,
                                         target_domain=t_dom, source_domain=s_dom):
-                        hits.append(hit)
+                        found[t_dom] += 1
                         texts[sentence.id] = sentence.text
-        sampled = sample_hits(hits, cfg.per_pair, cfg.seed) if hits else []
+                        yield hit
+
+    sampled = {target: [] for target in targets}
+    for hit in sample_hits(hits(), cfg.per_pair, cfg.seed):
+        sampled[hit.target_domain].append(hit)
+    for target in targets:
         out = wd / f"lms.{target}.jsonl"
         with textio.writer(out) as fh:
-            for hit in sampled:
+            for hit in sampled[target]:
                 record = {
                     "sentence_id": hit.sentence_id,
                     "target": hit.matched_target,
@@ -289,10 +298,10 @@ def cmd_find_lms(cfg: PipelineConfig) -> int:
                     "direction": hit.direction,
                     "target_domain": hit.target_domain,
                     "source_domain": hit.source_domain,
-                    "text": sidecar.get(hit.sentence_id, texts.get(hit.sentence_id, "")),
+                    "text": sidecar.get(hit.sentence_id, texts[hit.sentence_id]),
                 }
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
-        print(f"{out}: {len(sampled)} hits sampled from {len(hits)}")
+        print(f"{out}: {len(sampled[target])} hits sampled from {found[target]}")
     return 0
 
 

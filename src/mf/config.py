@@ -1,10 +1,11 @@
 """Pipeline configuration: flat key=value files with CLI-flag overrides."""
 
 from dataclasses import dataclass, fields
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
+from . import textio
 from .errors import ConfigError
+from .textio import TextSource
 
 _INT_KEYS = ("min_freq", "k", "top_sources", "top_cms", "per_pair",
              "top_patterns", "seed", "topics")
@@ -51,7 +52,7 @@ def _parse_bool(value: str, key: str) -> bool:
     raise ConfigError(f"expected a boolean, got {value!r}", key)
 
 
-def load_config(source: Union[str, Path], base: Optional[PipelineConfig] = None,
+def load_config(source: TextSource, base: Optional[PipelineConfig] = None,
                 ) -> PipelineConfig:
     """Read key=value lines; '#' comments and blank lines are skipped.
 
@@ -59,9 +60,7 @@ def load_config(source: Union[str, Path], base: Optional[PipelineConfig] = None,
     """
     cfg = base if base is not None else PipelineConfig()
     known = {f.name for f in fields(PipelineConfig)}
-    path = Path(source)
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                                  start=1):
+    for lineno, line in enumerate(textio.lines(source), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

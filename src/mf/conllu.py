@@ -45,6 +45,7 @@ class Sentence:
             raise SentenceStructureError(
                 "token indices are not 1-based and contiguous", self.id)
         n = len(self.tokens)
+        heads = [0]
         for t in self.tokens:
             if t.head == t.index:
                 raise SentenceStructureError(
@@ -52,6 +53,23 @@ class Sentence:
             if not 0 <= t.head <= n:
                 raise SentenceStructureError(
                     f"token {t.index} has dangling head {t.head}", self.id)
+            heads.append(t.head)
+        roots = heads.count(0) - 1
+        if roots != 1:
+            raise SentenceStructureError(
+                f"{roots} tokens have head 0, expected exactly one", self.id)
+        # Follow heads from each token until a token already walked, so each
+        # token is walked once. One marked by an earlier walk reaches the
+        # root; one marked by this walk closes a cycle.
+        walked_from = [-1] + [0] * n
+        for start in range(1, n + 1):
+            i = start
+            while not walked_from[i]:
+                walked_from[i] = start
+                i = heads[i]
+            if walked_from[i] == start:
+                raise SentenceStructureError(
+                    f"token {i} is on a head cycle", self.id)
         return self
 
 
@@ -59,7 +77,8 @@ def iter_sentences(source: TextSource) -> Iterator[Sentence]:
     """Stream sentences from CoNLL-U text, a path, or an open file.
 
     Raises ConlluParseError for malformed lines (with line number) and
-    SentenceStructureError for dangling heads (with sentence id).
+    SentenceStructureError for dangling heads, a root count other than
+    one, or a head cycle (with sentence id).
     """
     path = textio.as_path(source)
     prefix = f"{path.name}:" if path is not None else ""

@@ -34,10 +34,6 @@ class WeightedSource:
     evidence: dict[PatternKey, float] = field(default_factory=dict)
     evidence_freq: int = 0
 
-    @property
-    def patterns(self) -> set[PatternKey]:
-        return set(self.evidence)
-
 
 @dataclass
 class SourceConcept:

@@ -16,7 +16,7 @@ class ConlluParseError(MFError):
 
 
 class SentenceStructureError(MFError):
-    """Structurally invalid sentence (dangling head, duplicate index, ...)."""
+    """Structurally invalid sentence (dangling head, no single root, cycle, ...)."""
 
     def __init__(self, message, sentence_id=None):
         self.sentence_id = sentence_id

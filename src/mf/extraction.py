@@ -15,13 +15,14 @@ and NVAdv.
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
+from . import textio
 from .conllu import Sentence
 from .errors import FormatError
 from .labels import ROLE_PREP, label_arity, label_roles
 from .store import Occurrence, Proposition
+from .textio import TextSource
 
 NOMINAL = frozenset({"NOUN", "PROPN", "PRON"})
 _SUBJ_RELS = frozenset({"nsubj"})
@@ -227,16 +228,12 @@ DEFAULT_RULES: tuple[ExtractionRule, ...] = (
 )
 
 
-def load_rules(source: Union[str, Path, IO[str]]) -> tuple[ExtractionRule, ...]:
+def load_rules(source: TextSource) -> tuple[ExtractionRule, ...]:
     """Load a JSON rule file: a list of {label, arcs, upos, slots} objects.
 
     Each arc is {"head": var, "dep": var, "rels": [deprel, ...]}.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(source)
+    data = json.loads("".join(textio.lines(source)))
     if not isinstance(data, list):
         raise FormatError("rule file must contain a JSON list")
     rules = []

@@ -34,10 +34,6 @@ class Proposition:
                       for i, s in enumerate(self.slots))
         return PatternKey(self.label, slots)
 
-    def patterns(self) -> Iterator["PatternKey"]:
-        for i in range(len(self.slots)):
-            yield self.pattern(i)
-
     @property
     def text(self) -> str:
         return " ".join((self.label,) + self.slots)

@@ -3,9 +3,11 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from mf import cli
 from mf.cli import main
 
 from .corpusgen import FIXTURES
@@ -125,10 +127,14 @@ def test_pipeline_stages_and_rerun_identical(workdir):
 def test_artifacts_identical_across_processes(workdir, tmp_path):
     # hash randomization must not leak into float accumulation order
     corpus = FIXTURES / "poverty.conllu"
+    # the child processes import the same mf as this one
+    package_root = str(Path(cli.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root,
+                                               os.environ.get("PYTHONPATH")]))
     outputs = []
     for seed in ("1", "2"):
         wd = tmp_path / f"run{seed}"
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
         base = [sys.executable, "-m", "mf.cli"]
         flags = ["--workdir", str(wd), "--no-generalize"]
         subprocess.run(base + ["extract", "--corpus", str(corpus)] + flags,
@@ -269,3 +275,63 @@ def test_topic_count_checked_only_when_configured(workdir, tmp_path, capsys):
     cfg.write_text("topics = 50\n", encoding="utf-8")
     assert run("sources", "--config", cfg, *args) == 0
     assert "config expects 50" in capsys.readouterr().err
+
+
+def _poverty_and_crime_cms(workdir):
+    """A work directory with generated CMs for poverty and a written one
+    for crime, whose source lexemes the fixture corpus links to it."""
+    args = ["--workdir", workdir, "--no-generalize"]
+    run("extract", "--corpus", FIXTURES / "poverty.conllu", *args)
+    run("cms", "--target", "poverty",
+        "--topic-matrix", FIXTURES / "topics.tsv",
+        "--taxonomy", FIXTURES / "taxonomy.tsv", *args)
+    (workdir / "cms.crime.json").write_text(json.dumps([{
+        "target": ["crime"], "source_node": "wordnet_fight",
+        "members": [{"lexeme": "fight", "weight": 1.0},
+                    {"lexeme": "war", "weight": 0.5}],
+        "patterns": [], "weight": 1.0}]), encoding="utf-8")
+    return args + ["--expansion-table", FIXTURES / "expansion.tsv",
+                   "--per-pair", "3"]
+
+
+def test_find_lms_all_targets_match_one_target_runs(workdir, capsys):
+    args = _poverty_and_crime_cms(workdir) + ["--corpus", FIXTURES / "poverty.conllu"]
+    capsys.readouterr()
+    alone, printed = {}, []
+    for target in ("poverty", "crime"):
+        assert run("find-lms", "--target", target, *args) == 0
+        alone[target] = (workdir / f"lms.{target}.jsonl").read_bytes()
+        printed.append(capsys.readouterr().out)
+    assert alone["poverty"] and alone["crime"]
+    # a repeated target is retrieved, written and counted once
+    assert run("find-lms", "--target", "poverty", "--target", "crime",
+               "--target", "poverty", *args) == 0
+    assert capsys.readouterr().out == "".join(printed)
+    for target, data in alone.items():
+        assert (workdir / f"lms.{target}.jsonl").read_bytes() == data
+
+
+def test_find_lms_parses_each_shard_once(workdir, tmp_path, monkeypatch):
+    args = _poverty_and_crime_cms(workdir)
+    blocks = (FIXTURES / "poverty.conllu").read_text("utf-8").strip().split("\n\n")
+    shards = [tmp_path / "a.conllu", tmp_path / "b.conllu"]
+    shards[0].write_text("\n\n".join(blocks[:100]) + "\n", encoding="utf-8")
+    shards[1].write_text("\n\n".join(blocks[100:]) + "\n", encoding="utf-8")
+    parsed = []
+    iter_sentences = cli.iter_sentences
+
+    def counting(source):
+        parsed.append(source)
+        return iter_sentences(source)
+    monkeypatch.setattr(cli, "iter_sentences", counting)
+    assert run("find-lms", "--target", "poverty", "--target", "crime",
+               "--corpus", *shards, *args) == 0
+    assert sorted(map(str, parsed)) == sorted(map(str, shards))
+
+
+def test_find_lms_rejects_cms_of_another_target(workdir, capsys):
+    args = _poverty_and_crime_cms(workdir)
+    (workdir / "cms.crime.json").replace(workdir / "cms.poverty.json")
+    assert run("find-lms", "--target", "poverty",
+               "--corpus", FIXTURES / "poverty.conllu", *args) == 2
+    assert "cms.poverty.json" in capsys.readouterr().err

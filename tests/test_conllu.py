@@ -81,6 +81,19 @@ def test_self_loop_rejected():
         parse_conllu(bad.splitlines(keepends=True))
 
 
+
+@pytest.mark.parametrize("heads, message", [
+    ((0, 1, 0, 3), "2 tokens have head 0"),  # two roots
+    ((0, 3, 4, 2), "head cycle"),            # 2 -> 3 -> 4 -> 2 never reaches 1
+])
+def test_single_root_reached_by_every_token(heads, message):
+    text = "# sent_id = tree1\n" + "".join(
+        f"{i}\tw{i}\tw{i}\tNOUN\t_\t_\t{h}\tdep\t_\t_\n"
+        for i, h in enumerate(heads, start=1))
+    with pytest.raises(SentenceStructureError, match=message) as err:
+        parse_conllu(text.splitlines(keepends=True))
+    assert err.value.sentence_id == "tree1"
+
 def test_gzip_transparent(tmp_path):
     path = tmp_path / "corpus.conllu.gz"
     with gzip.open(path, "wt", encoding="utf-8") as fh:

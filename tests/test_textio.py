@@ -1,11 +1,13 @@
 import gzip
+import json
 import os
 
 import numpy as np
 import pytest
 
-from mf import (Store, load_expansion_table, load_gold, load_taxonomy,
+from mf import (Store, load_expansion_table, load_gold, load_rules, load_taxonomy,
                 load_topic_matrix, textio)
+from mf.config import load_config
 
 from .conftest import FIXTURES
 
@@ -30,6 +32,18 @@ def test_failed_write_keeps_earlier_artifact(tmp_path, name):
     assert os.listdir(tmp_path) == [name]
 
 
+# inputs with no committed fixture, written out by the test
+WRITTEN = {
+    "rules.json": json.dumps([{
+        "label": "VN",
+        "arcs": [{"head": "v", "dep": "o", "rels": ["obj"]}],
+        "upos": {"v": ["VERB"], "o": ["NOUN"]},
+        "slots": ["v", "o"],
+    }]),
+    "pipeline.cfg": "# comment\ncorpus = corpus.conllu\nk = 3\ntargets = poverty, wealth\n",
+}
+
+
 def _topic_view(tm):
     return tm.topics, {w: tuple(tm.vector(w)) for w in tm.vocabulary()}
 
@@ -40,9 +54,14 @@ def _topic_view(tm):
     ("expansion.tsv", load_expansion_table, vars),
     ("gold/gold.tsv", load_gold, lambda mappings: mappings),
     ("taxonomy.tsv", load_taxonomy, lambda tax: tax),
+    ("rules.json", load_rules, lambda rules: rules),
+    ("pipeline.cfg", load_config, vars),
 ])
 def test_loaders_read_gzip_transparently(tmp_path, fixture, load, view):
     plain = FIXTURES / fixture
+    if fixture in WRITTEN:
+        plain = tmp_path / fixture
+        plain.write_text(WRITTEN[fixture], encoding="utf-8")
     packed = tmp_path / (plain.name + ".gz")
     packed.write_bytes(gzip.compress(plain.read_bytes()))
     assert view(load(packed)) == view(load(plain))
