@@ -261,15 +261,21 @@ def cmd_find_lms(cfg: PipelineConfig) -> int:
     for target in targets:
         name = f"cms.{target}.json"
         cm_path = _need(str(wd / name), name)
-        for rec in json.loads("".join(textio.lines(cm_path))):
+        try:
+            cms = [(rec["target"], rec["source_node"],
+                    {m["lexeme"] for m in rec["members"]})
+                   for rec in textio.load_json(cm_path)]
+        except (KeyError, TypeError) as exc:
+            raise MFError(f"{cm_path}: expected a list of conceptual metaphors with "
+                          f"target, source_node and members[].lexeme ({exc!r})") from None
+        for cm_target, source_node, members in cms:
             # hits are routed to lms.<t>.jsonl by their target domain
-            if rec["target"] != [target]:
+            if cm_target != [target]:
                 raise MFError(f"{cm_path}: a conceptual metaphor has target "
-                              f"{rec['target']!r}, expected {[target]!r}")
+                              f"{cm_target!r}, expected {[target]!r}")
             specs.append((expand_domain({target}, table, store, cfg.top_patterns),
-                          expand_domain({m["lexeme"] for m in rec["members"]},
-                                        table, store, cfg.top_patterns),
-                          target, rec["source_node"]))
+                          expand_domain(members, table, store, cfg.top_patterns),
+                          target, source_node))
     found = dict.fromkeys(targets, 0)
     texts = {}
 

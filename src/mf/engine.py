@@ -74,8 +74,8 @@ def salient_properties(lexeme: str, store: Store,
         WeightedTuple(prop, i, tuple_weight(lexeme, prop, i, store), store.freq(prop))
         for prop, i in store.tuples_containing(lexeme)
     ]
-    scored.sort(key=lambda wt: (-wt.weight, -wt.frequency,
-                                wt.prop.label, wt.prop.slots, wt.position))
+    # stable sort: ties keep the store's (tuple, position) order
+    scored.sort(key=lambda wt: (-wt.weight, -wt.frequency))
     return scored if top_n is None else scored[:top_n]
 
 
@@ -87,11 +87,10 @@ def generate_sources(lexeme: str, store: Store) -> list[WeightedSource]:
     collects that seed tuple's weight.
     """
     acc: dict[str, WeightedSource] = {}
-    # fixed accumulation order keeps float sums bit-identical across runs
-    for prop, i in sorted(store.tuples_containing(lexeme)):
+    for prop, i in store.tuples_containing(lexeme):
         wt = tuple_weight(lexeme, prop, i, store)
         key = prop.pattern(i)
-        for other in sorted(store.tuples_matching(key)):
+        for other in store.tuples_matching(key):
             s = other.slots[i]
             if s == lexeme:
                 continue

@@ -13,7 +13,6 @@ default inventory covers NV, VN, NVV, VPN, NPN, NVPN, NVVPN, NN, AN, AdvPN
 and NVAdv.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -233,7 +232,7 @@ def load_rules(source: TextSource) -> tuple[ExtractionRule, ...]:
 
     Each arc is {"head": var, "dep": var, "rels": [deprel, ...]}.
     """
-    data = json.loads("".join(textio.lines(source)))
+    data = textio.load_json(source)
     if not isinstance(data, list):
         raise FormatError("rule file must contain a JSON list")
     rules = []

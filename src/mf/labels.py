@@ -12,10 +12,7 @@ from functools import lru_cache
 from .errors import FormatError
 
 ROLE_NOUN = "N"
-ROLE_VERB = "V"
 ROLE_PREP = "P"
-ROLE_ADJ = "A"
-ROLE_ADV = "Adv"
 
 _ROLE_RE = re.compile(r"Adv|[NVPA]")
 

@@ -21,24 +21,21 @@ from .textio import TextSource
 
 
 class ExpansionTable:
-    """Lexeme -> semantically related lexemes, with relation tags.
+    """Lexeme -> semantically related lexemes.
 
-    File format: TSV rows "lexeme <TAB> relation <TAB> related".
+    File format: TSV rows "lexeme <TAB> relation <TAB> related" (relation unused).
     """
 
     def __init__(self, rows: Iterable[tuple[str, str, str]] = ()):
-        self._rows: dict[str, set[tuple[str, str]]] = {}
-        for lexeme, relation, related in rows:
-            self._rows.setdefault(lexeme, set()).add((relation, related))
+        self._related: dict[str, set[str]] = {}
+        for lexeme, _, related in rows:
+            self._related.setdefault(lexeme, set()).add(related)
 
     def related(self, lexeme: str) -> set[str]:
-        return {related for _, related in self._rows.get(lexeme, ())}
-
-    def relations(self, lexeme: str) -> set[tuple[str, str]]:
-        return set(self._rows.get(lexeme, ()))
+        return set(self._related.get(lexeme, ()))
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._related)
 
 
 def load_expansion_table(source: TextSource) -> ExpansionTable:

@@ -2,12 +2,13 @@
 
 A proposition is a pattern-labeled tuple of lemmas; a pattern key is a
 proposition with exactly one slot blanked. The store counts identical
-tuples, then freezes into an indexed read-only structure for lexeme and
-pattern queries.
+tuples, then freezes into a read-only store; the first lexeme or pattern
+query builds its index.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import textio
 from .errors import FormatError, StoreStateError
@@ -57,13 +58,6 @@ class PatternKey:
     def blank_position(self) -> int:
         return self.slots.index(None)
 
-    def fill(self, lexeme: str) -> Proposition:
-        slots = tuple(lexeme if s is None else s for s in self.slots)
-        return Proposition(self.label, slots)
-
-    def matches(self, prop: Proposition) -> bool:
-        return prop.pattern(self.blank_position) == self
-
     @property
     def text(self) -> str:
         rendered = tuple(BLANK_TEXT if s is None else s for s in self.slots)
@@ -78,30 +72,31 @@ class Occurrence:
     token_indices: tuple[int, ...]
 
 
+class _Index(NamedTuple):
+    by_lexeme: dict[str, tuple[tuple[Proposition, int], ...]]
+    by_pattern: dict[PatternKey, tuple[Proposition, ...]]
+    totals: dict[PatternKey, int]
+
+
 class Store:
     """Build-then-freeze collection of propositions with frequencies.
 
     Mutation (add/merge) is only allowed before freeze(); lexeme and
-    pattern queries only after. A frozen store is immutable and safe to
-    share across readers.
+    pattern queries only after. The first query builds the index; queries
+    return tuples in identity order, so float sums over them are the same
+    on every run. A frozen store is immutable and safe to share across
+    readers.
     """
 
     def __init__(self):
         self._counts: dict[Proposition, int] = {}
         self._frozen = False
-        self._by_lexeme: dict[str, frozenset] = {}
-        self._by_pattern: dict[PatternKey, frozenset] = {}
-        self._pattern_totals: dict[PatternKey, int] = {}
 
     # -- lifecycle -----------------------------------------------------
 
     @property
     def frozen(self) -> bool:
         return self._frozen
-
-    def _require_frozen(self):
-        if not self._frozen:
-            raise StoreStateError("store must be frozen before queries")
 
     def _require_mutable(self):
         if self._frozen:
@@ -127,26 +122,31 @@ class Store:
         return self
 
     def freeze(self, min_freq: int = 1) -> "Store":
-        """Drop tuples below min_freq, build indexes, and seal the store."""
+        """Drop tuples below min_freq and seal the store."""
         self._require_mutable()
         if min_freq < 1:
             raise ValueError(f"min_freq must be >= 1, got {min_freq}")
         if min_freq > 1:
             self._counts = {p: f for p, f in self._counts.items() if f >= min_freq}
-        by_lexeme: dict[str, set] = {}
-        by_pattern: dict[PatternKey, set] = {}
-        totals: dict[PatternKey, int] = {}
-        for prop, freq in self._counts.items():
-            for i, lexeme in enumerate(prop.slots):
-                by_lexeme.setdefault(lexeme, set()).add((prop, i))
-                key = prop.pattern(i)
-                by_pattern.setdefault(key, set()).add(prop)
-                totals[key] = totals.get(key, 0) + freq
-        self._by_lexeme = {l: frozenset(s) for l, s in by_lexeme.items()}
-        self._by_pattern = {k: frozenset(s) for k, s in by_pattern.items()}
-        self._pattern_totals = totals
         self._frozen = True
         return self
+
+    @cached_property
+    def _index(self) -> _Index:
+        if not self._frozen:
+            raise StoreStateError("store must be frozen before queries")
+        by_lexeme: dict[str, list] = {}
+        by_pattern: dict[PatternKey, list] = {}
+        totals: dict[PatternKey, int] = {}
+        for prop, freq in self:
+            for i, lexeme in enumerate(prop.slots):
+                by_lexeme.setdefault(lexeme, []).append((prop, i))
+                key = prop.pattern(i)
+                by_pattern.setdefault(key, []).append(prop)
+                totals[key] = totals.get(key, 0) + freq
+        return _Index({l: tuple(v) for l, v in by_lexeme.items()},
+                      {k: tuple(v) for k, v in by_pattern.items()},
+                      totals)
 
     # -- plain views (allowed in either state) ---------------------------
 
@@ -173,24 +173,22 @@ class Store:
 
     # -- queries (frozen only) -------------------------------------------
 
-    def tuples_containing(self, lexeme: str) -> set[tuple[Proposition, int]]:
-        """All (tuple, position) pairs whose slot at position equals lexeme."""
-        self._require_frozen()
-        return set(self._by_lexeme.get(lexeme, frozenset()))
+    def tuples_containing(self, lexeme: str) -> tuple[tuple[Proposition, int], ...]:
+        """All (tuple, position) pairs whose slot at position equals lexeme,
+        in (tuple, position) order."""
+        return self._index.by_lexeme.get(lexeme, ())
 
-    def tuples_matching(self, key: PatternKey) -> set[Proposition]:
-        """All tuples whose blanking at the key's blank position yields it."""
-        self._require_frozen()
-        return set(self._by_pattern.get(key, frozenset()))
+    def tuples_matching(self, key: PatternKey) -> tuple[Proposition, ...]:
+        """All tuples whose blanking at the key's blank position yields it,
+        in tuple order."""
+        return self._index.by_pattern.get(key, ())
 
     def pattern_total(self, key: PatternKey) -> int:
         """Summed frequency of all tuples matching the key."""
-        self._require_frozen()
-        return self._pattern_totals.get(key, 0)
+        return self._index.totals.get(key, 0)
 
     def pattern_keys(self) -> Iterator[PatternKey]:
-        self._require_frozen()
-        return iter(self._pattern_totals)
+        return iter(self._index.totals)
 
     # -- persistence -------------------------------------------------------
 
@@ -200,7 +198,7 @@ class Store:
         Paths ending in .gz are written gzip-compressed.
         """
         with textio.writer(target) as fh:
-            for prop, freq in sorted(self._counts.items()):
+            for prop, freq in self:
                 fh.write("\t".join((prop.label,) + prop.slots + (str(freq),)) + "\n")
 
     @classmethod

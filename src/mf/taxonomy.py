@@ -59,22 +59,24 @@ class Taxonomy:
         self._ancestor_cache: dict[str, frozenset[str]] = {}
 
     def _check_acyclic(self):
+        # depth-first with an explicit stack, so chains of any depth load:
+        # state 1 while a node is on the walk's path, 2 once it is left
         state: dict[str, int] = {}
-
-        def visit(node_id):
-            state[node_id] = 1
-            for parent in self.nodes[node_id].parents:
-                if parent not in self.nodes:
-                    raise FormatError(f"edge to unknown node {parent!r}")
-                if state.get(parent) == 1:
-                    raise FormatError(f"hypernym cycle through {parent!r}")
-                if parent not in state:
-                    visit(parent)
-            state[node_id] = 2
-
-        for node_id in self.nodes:
-            if node_id not in state:
-                visit(node_id)
+        for root in self.nodes:
+            stack = [(root, True)]
+            while stack:
+                node_id, entering = stack.pop()
+                if not entering:
+                    state[node_id] = 2
+                elif node_id not in state:
+                    state[node_id] = 1
+                    stack.append((node_id, False))
+                    for parent in self.nodes[node_id].parents:
+                        if parent not in self.nodes:
+                            raise FormatError(f"edge to unknown node {parent!r}")
+                        if state.get(parent) == 1:
+                            raise FormatError(f"hypernym cycle through {parent!r}")
+                        stack.append((parent, True))
 
     def kind(self, node_id: str) -> str:
         return self.nodes[node_id].kind
@@ -93,9 +95,6 @@ class Taxonomy:
             cached = frozenset(out)
             self._ancestor_cache[node_id] = cached
         return cached | {node_id} if reflexive else cached
-
-    def is_hyponym(self, node_id: str, ancestor_id: str) -> bool:
-        return ancestor_id in self.ancestors(node_id, reflexive=True)
 
     def nearest_classes(self, node_id: str) -> set[str]:
         """Walk up from an instance until class nodes are reached."""

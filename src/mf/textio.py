@@ -6,7 +6,8 @@ the empty str, is text rather than a path.
 
 Tabular files are read as rows of tab-separated columns. Blank lines are
 skipped, and a line starting with '#' is a comment only before the first
-data row, so lexemes such as '#metoo' survive a write and a read.
+data row, so lexemes such as '#metoo' survive a write and a read. JSON
+files are read whole, and malformed JSON is a FormatError naming the file.
 
 Every writer picks gzip from a .gz suffix and writes to a temporary file
 beside the target that replaces it only once the write has succeeded, so a
@@ -15,10 +16,13 @@ failed stage never leaves a half-written artifact behind.
 
 import gzip
 import io
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, Any, Iterable, Iterator, Optional, Union
+
+from .errors import FormatError
 
 TextSource = Union[str, Path, IO[str], Iterable[str]]
 TextTarget = Union[str, Path, IO[str]]
@@ -59,6 +63,16 @@ def rows(source: TextSource) -> Iterator[tuple[int, list[str]]]:
             continue
         in_data = True
         yield rowno, line.split("\t")
+
+
+def load_json(source: TextSource) -> Any:
+    """Parse a JSON document; malformed JSON raises FormatError naming the
+    file and the line the decoder stopped at."""
+    try:
+        return json.loads("".join(lines(source)))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{as_path(source) or 'JSON input'}: invalid JSON "
+                          f"at line {exc.lineno}: {exc.msg}") from None
 
 
 @contextmanager

@@ -46,16 +46,6 @@ class TopicMatrix:
             return 0.0
         return float(np.dot(self._phi[w1], self._phi[w2]))
 
-    def is_normalized(self, tol: float = 1e-6) -> bool:
-        """Whether each topic's probabilities sum to 1 over this vocabulary.
-
-        Complete topic-model output satisfies this; fixture slices need not.
-        """
-        if not self._phi:
-            return False
-        sums = np.sum(list(self._phi.values()), axis=0)
-        return bool(np.all(np.abs(sums - 1.0) <= tol))
-
 
 def load_topic_matrix(source: TextSource) -> TopicMatrix:
     topics = None

@@ -86,6 +86,17 @@ def test_generalize_stage(workdir):
     assert "VN\tfight\twordnet_enemy\t4" in gen
 
 
+def test_write_path_builds_no_index(workdir, monkeypatch):
+    def no_index(self, position):
+        raise AssertionError("extract and generalize must not index the store")
+    monkeypatch.setattr("mf.store.Proposition.pattern", no_index)
+    assert run("extract", "--corpus", FIXTURES / "poverty.conllu",
+               "--workdir", workdir) == 0
+    assert run("generalize", "--taxonomy", FIXTURES / "taxonomy.tsv",
+               "--workdir", workdir) == 0
+    assert (workdir / "store.gen.tsv").stat().st_size > 0
+
+
 def test_properties_unknown_lexeme_warns_exit_zero(workdir, capsys):
     run("extract", "--corpus", FIXTURES / "poverty.conllu", "--workdir", workdir)
     code = run("properties", "--target", "zzz", "--workdir", workdir,
@@ -335,3 +346,31 @@ def test_find_lms_rejects_cms_of_another_target(workdir, capsys):
     assert run("find-lms", "--target", "poverty",
                "--corpus", FIXTURES / "poverty.conllu", *args) == 2
     assert "cms.poverty.json" in capsys.readouterr().err
+
+
+def _without_target(text):
+    return json.dumps([{k: v for k, v in rec.items() if k != "target"}
+                       for rec in json.loads(text)])
+
+
+@pytest.mark.parametrize("damage", [lambda text: text[:len(text) // 2],
+                                    _without_target],
+                         ids=["truncated", "record-without-target"])
+def test_find_lms_malformed_cms_names_file(workdir, capsys, damage):
+    args = _poverty_and_crime_cms(workdir)
+    cms = workdir / "cms.poverty.json"
+    cms.write_text(damage(cms.read_text("utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    assert run("find-lms", "--target", "poverty",
+               "--corpus", FIXTURES / "poverty.conllu", *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cms.poverty.json" in err
+
+
+def test_extract_truncated_rules_names_file(workdir, tmp_path, capsys):
+    rules = tmp_path / "rules.json"
+    rules.write_text('[{"label": "VN", "arcs": [{"head": "v",\n', encoding="utf-8")
+    assert run("extract", "--corpus", FIXTURES / "poverty.conllu",
+               "--rules", rules, "--workdir", workdir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rules.json" in err and "line 2" in err

@@ -19,8 +19,6 @@ def test_expansion_table_load_and_lookup():
     table = load_expansion_table(io.StringIO(
         "disease\tRelatedTo\tsymptom\ndisease\tIsA\tillness\n"))
     assert table.related("disease") == {"symptom", "illness"}
-    assert table.relations("disease") == {("RelatedTo", "symptom"),
-                                          ("IsA", "illness")}
     assert table.related("unknown") == set()
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mf import PatternKey, Proposition, Store, merge_stores
+from mf import PatternKey, Proposition, Store, generate_sources, merge_stores
 from mf.errors import FormatError, StoreStateError
 from mf.labels import DEFAULT_LABELS, label_arity
 
@@ -63,16 +63,16 @@ def test_tuples_containing_positions():
     store.add(vn("fight", "poverty"), 3)
     store.freeze()
     got = store.tuples_containing("poverty")
-    assert got == {(Proposition("NV", ("poverty", "affect")), 0),
-                   (vn("fight", "poverty"), 1)}
-    assert store.tuples_containing("absent") == set()
+    assert got == ((Proposition("NV", ("poverty", "affect")), 0),
+                   (vn("fight", "poverty"), 1))
+    assert store.tuples_containing("absent") == ()
 
 
 def test_lexeme_in_two_slots_yields_two_results():
     store = Store().add(Proposition("NN", ("war", "war"))).freeze()
-    assert store.tuples_containing("war") == {
+    assert store.tuples_containing("war") == (
         (Proposition("NN", ("war", "war")), 0),
-        (Proposition("NN", ("war", "war")), 1)}
+        (Proposition("NN", ("war", "war")), 1))
 
 
 def test_tuples_matching():
@@ -81,11 +81,11 @@ def test_tuples_matching():
     store.add(vn("fight", "terrorism"), 6)
     store.freeze()
     blank_obj = PatternKey("VN", ("fight", None))
-    assert store.tuples_matching(blank_obj) == {vn("fight", "poverty"),
-                                                vn("fight", "terrorism")}
+    assert store.tuples_matching(blank_obj) == (vn("fight", "poverty"),
+                                                vn("fight", "terrorism"))
     blank_verb = PatternKey("VN", (None, "poverty"))
-    assert store.tuples_matching(blank_verb) == {vn("fight", "poverty")}
-    assert Store().freeze().tuples_matching(blank_obj) == set()
+    assert store.tuples_matching(blank_verb) == (vn("fight", "poverty"),)
+    assert Store().freeze().tuples_matching(blank_obj) == ()
 
 
 def test_pattern_total_matches_matching_sum():
@@ -103,12 +103,41 @@ def test_indexes_agree_with_linear_scan():
         store = make_random_store(rng)
         for lexeme in sorted(store.lexemes()):
             assert store.tuples_containing(lexeme) == \
-                brute_force_containing(lexeme, store)
+                tuple(sorted(brute_force_containing(lexeme, store)))
 
 
-PROPOSITIONS = st.sampled_from(DEFAULT_LABELS).flatmap(lambda label: st.builds(
-    Proposition, st.just(label),
-    st.tuples(*[LEXEMES] * label_arity(label))))
+def propositions(lexemes):
+    return st.sampled_from(DEFAULT_LABELS).flatmap(lambda label: st.builds(
+        Proposition, st.just(label), st.tuples(*[lexemes] * label_arity(label))))
+
+
+PROPOSITIONS = propositions(LEXEMES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(propositions(st.sampled_from(["a", "b", "c", "#d"])),
+                          st.integers(1, 9)), min_size=1, max_size=30),
+       st.randoms(use_true_random=False))
+def test_queries_independent_of_insertion_order(entries, rng):
+    shuffled = list(entries)
+    rng.shuffle(shuffled)
+    first, second = Store(), Store()
+    for prop, freq in entries:
+        first.add(prop, freq)
+    for prop, freq in shuffled:
+        second.add(prop, freq)
+    first.freeze()
+    second.freeze()
+    assert list(first.pattern_keys()) == list(second.pattern_keys())
+    for key in first.pattern_keys():
+        assert first.tuples_matching(key) == second.tuples_matching(key)
+    for lexeme in sorted(first.lexemes()):
+        assert first.tuples_containing(lexeme) == second.tuples_containing(lexeme)
+        # exact float equality: the store fixes the accumulation order
+        assert [(s.lexeme, s.weight, s.evidence)
+                for s in generate_sources(lexeme, first)] == \
+            [(s.lexeme, s.weight, s.evidence)
+             for s in generate_sources(lexeme, second)]
 
 
 @settings(max_examples=50, deadline=None)
@@ -176,9 +205,8 @@ def test_save_rows_sorted(tmp_path):
 def test_pattern_key_invariants():
     key = PatternKey("VN", ("fight", None))
     assert key.blank_position == 1
-    assert key.fill("poverty") == vn("fight", "poverty")
-    assert key.matches(vn("fight", "poverty"))
-    assert not key.matches(vn("cure", "poverty"))
+    assert vn("fight", "poverty").pattern(1) == key
+    assert vn("cure", "poverty").pattern(1) != key
     with pytest.raises(FormatError):
         PatternKey("VN", ("fight", "poverty"))  # no blank
     with pytest.raises(FormatError):

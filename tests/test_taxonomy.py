@@ -49,10 +49,10 @@ def test_node_id_recognized_for_generalized_slots(taxonomy):
 
 
 def test_ancestors_and_hyponymy(taxonomy):
-    assert taxonomy.is_hyponym("wordnet_cancer", "wordnet_illness")
-    assert taxonomy.is_hyponym("wordnet_cancer", "wordnet_condition")
-    assert taxonomy.is_hyponym("wordnet_cancer", "wordnet_cancer")
-    assert not taxonomy.is_hyponym("wordnet_illness", "wordnet_cancer")
+    assert "wordnet_illness" in taxonomy.ancestors("wordnet_cancer")
+    assert "wordnet_condition" in taxonomy.ancestors("wordnet_cancer")
+    assert "wordnet_cancer" in taxonomy.ancestors("wordnet_cancer")
+    assert "wordnet_cancer" not in taxonomy.ancestors("wordnet_illness")
 
 
 def test_cycle_detected():
@@ -60,6 +60,18 @@ def test_cycle_detected():
             "EDGES\na\tb\nb\ta\n")
     with pytest.raises(FormatError):
         load_taxonomy(io.StringIO(text))
+
+
+def test_deep_chain_loads_and_its_cycle_is_detected():
+    depth = 3000
+    nodes = "".join(f"c{i}\tclass\n" for i in range(depth))
+    edges = "".join(f"c{i}\tc{i + 1}\n" for i in range(depth - 1))
+    text = f"NODES\n{nodes}EDGES\n{edges}"
+    assert len(load_taxonomy(io.StringIO(text)).ancestors("c0")) == depth
+    with pytest.raises(FormatError, match="cycle"):
+        load_taxonomy(io.StringIO(text + f"c{depth - 1}\tc0\n"))
+    with pytest.raises(FormatError, match="unknown node 'missing'"):
+        load_taxonomy(io.StringIO(text + f"c{depth - 1}\tmissing\n"))
 
 
 def test_instance_without_class_ancestor_rejected():

@@ -49,7 +49,6 @@ def test_symmetry_and_cauchy_schwarz():
         raw = np.array([[rng.random() for _ in range(t)] for _ in range(vocab)])
         raw /= raw.sum(axis=0)  # normalize each topic over the vocabulary
         tm = TopicMatrix(t, {f"w{i}": raw[i] for i in range(vocab)})
-        assert tm.is_normalized()
         words = sorted(tm.vocabulary())
         for _ in range(10):
             w1, w2 = rng.choice(words), rng.choice(words)
