@@ -34,9 +34,6 @@ class ExpansionTable:
     def related(self, lexeme: str) -> set[str]:
         return set(self._related.get(lexeme, ()))
 
-    def __len__(self) -> int:
-        return len(self._related)
-
 
 def load_expansion_table(source: TextSource) -> ExpansionTable:
     rows = []

@@ -162,9 +162,6 @@ class Store:
     def __iter__(self) -> Iterator[tuple[Proposition, int]]:
         return iter(sorted(self._counts.items()))
 
-    def __contains__(self, prop: Proposition) -> bool:
-        return prop in self._counts
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Store) and self._counts == other._counts
 

@@ -1,55 +1,65 @@
 """Per-word topic probability vectors and dot-product relatedness.
 
 File format: a header line "T=<topic count>", then one row per word,
-"lexeme <TAB> p1 <TAB> ... <TAB> pT". Words missing from the matrix are
-out of vocabulary; their relatedness to anything is 0 and downstream
-filtering must keep them.
+"lexeme <TAB> p1 <TAB> ... <TAB> pT", each probability finite and
+non-negative. Words missing from the matrix are out of vocabulary; their
+relatedness to anything is 0 and downstream filtering must keep them.
 """
 
-import numpy as np
+import math
+import operator
+from array import array
+from typing import Iterable, Mapping
 
 from . import textio
 from .errors import FormatError
 from .textio import TextSource, TextTarget
 
 
+def _vector_error(vec: array, topics: int) -> str | None:
+    """Why `vec` is not `topics` finite, non-negative probabilities, or
+    None when it is."""
+    if len(vec) != topics:
+        return f"expected {topics} probabilities, got {len(vec)}"
+    if not all(map(math.isfinite, vec)) or min(vec, default=0.0) < 0.0:
+        return "probabilities must be finite and non-negative"
+    return None
+
+
 class TopicMatrix:
-    def __init__(self, topics: int, phi: dict[str, np.ndarray]):
+    def __init__(self, topics: int, phi: Mapping[str, Iterable[float]]):
         if topics < 1:
             raise FormatError(f"topic count must be >= 1, got {topics}")
-        for word, vec in phi.items():
-            if vec.shape != (topics,):
-                raise FormatError(f"{word!r}: expected {topics} probabilities")
-            if np.any(vec < 0):
-                raise FormatError(f"{word!r}: negative probability")
         self.topics = topics
-        self._phi = {w: np.asarray(v, dtype=float) for w, v in phi.items()}
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._phi
-
-    def __len__(self) -> int:
-        return len(self._phi)
+        self._phi: dict[str, array] = {}
+        for word, values in phi.items():
+            vec = array("d", values)
+            error = _vector_error(vec, topics)
+            if error:
+                raise FormatError(f"{word!r}: {error}")
+            self._phi[word] = vec
 
     def vocabulary(self) -> set[str]:
         return set(self._phi)
 
-    def vector(self, word: str) -> np.ndarray:
+    def vector(self, word: str) -> array:
         return self._phi[word]
 
     def is_oov(self, word: str) -> bool:
         return word not in self._phi
 
     def relatedness(self, w1: str, w2: str) -> float:
-        """Sum over topics of phi(w1) * phi(w2); 0.0 when either word is OOV."""
-        if w1 not in self._phi or w2 not in self._phi:
+        """Sum over topics of phi(w1) * phi(w2), as the built-in `sum` adds
+        the products in topic order; 0.0 when either word is OOV."""
+        v1, v2 = self._phi.get(w1), self._phi.get(w2)
+        if v1 is None or v2 is None:
             return 0.0
-        return float(np.dot(self._phi[w1], self._phi[w2]))
+        return sum(map(operator.mul, v1, v2))
 
 
 def load_topic_matrix(source: TextSource) -> TopicMatrix:
     topics = None
-    phi: dict[str, np.ndarray] = {}
+    phi: dict[str, array] = {}
     for rowno, cols in textio.rows(source):
         if topics is None:
             header = "\t".join(cols)
@@ -60,16 +70,13 @@ def load_topic_matrix(source: TextSource) -> TopicMatrix:
             except ValueError:
                 raise FormatError(f"bad topic count {header[2:]!r}", rowno) from None
             continue
-        if len(cols) != topics + 1:
-            raise FormatError(
-                f"expected lexeme plus {topics} probabilities, got {len(cols) - 1}",
-                rowno)
         try:
-            vec = np.array([float(x) for x in cols[1:]], dtype=float)
+            vec = array("d", map(float, cols[1:]))
         except ValueError:
             raise FormatError("non-numeric probability", rowno) from None
-        if np.any(vec < 0):
-            raise FormatError("negative probability", rowno)
+        error = _vector_error(vec, topics)
+        if error:
+            raise FormatError(error, rowno)
         phi[cols[0]] = vec
     if topics is None:
         raise FormatError("missing T=<count> header")
@@ -80,5 +87,5 @@ def save_topic_matrix(tm: TopicMatrix, target: TextTarget) -> None:
     with textio.writer(target) as fh:
         fh.write(f"T={tm.topics}\n")
         for word in sorted(tm.vocabulary()):
-            probs = "\t".join(repr(float(x)) for x in tm.vector(word))
+            probs = "\t".join(map(repr, tm.vector(word)))
             fh.write(f"{word}\t{probs}\n")

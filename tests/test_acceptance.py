@@ -8,8 +8,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import numpy as np
-
 from mf import (Proposition, Store, TopicMatrix, build_cms, cluster_sources,
                 eval_gold, extract_propositions, filter_sources, find_lms,
                 generalize_store, generate_sources, load_expansion_table,
@@ -103,10 +101,10 @@ def test_c05_relatedness_properties():
         for _ in range(40):
             t = rng.randint(1, 50)
             vocab = rng.randint(2, 100)
-            raw = np.array([[rng.random() for _ in range(t)]
-                            for _ in range(vocab)])
-            raw /= raw.sum(axis=0)
-            tm = TopicMatrix(t, {f"w{i}": raw[i] for i in range(vocab)})
+            raw = [[rng.random() for _ in range(t)] for _ in range(vocab)]
+            totals = [sum(topic) for topic in zip(*raw)]
+            tm = TopicMatrix(t, {f"w{i}": [x / total for x, total in zip(row, totals)]
+                                 for i, row in enumerate(raw)})
             words = sorted(tm.vocabulary())
             for _ in range(20):
                 w1, w2 = rng.choice(words), rng.choice(words)
@@ -116,10 +114,8 @@ def test_c05_relatedness_properties():
                 assert r * r <= (tm.relatedness(w1, w1)
                                  * tm.relatedness(w2, w2)) + 1e-9
         # hand matrices, exact dot products
-        hand = TopicMatrix(2, {"a": np.array([1.0, 0.0]),
-                               "b": np.array([0.0, 1.0]),
-                               "c": np.array([0.5, 0.5]),
-                               "d": np.array([0.2, 0.8])})
+        hand = TopicMatrix(2, {"a": (1.0, 0.0), "b": (0.0, 1.0),
+                               "c": (0.5, 0.5), "d": (0.2, 0.8)})
         assert hand.relatedness("a", "b") == 0.0
         assert hand.relatedness("c", "d") == 0.5
         assert hand.relatedness("a", "a") == 1.0

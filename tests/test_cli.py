@@ -135,17 +135,29 @@ def test_pipeline_stages_and_rerun_identical(workdir):
         assert (workdir / name).read_bytes() == first[name], name
 
 
-def test_artifacts_identical_across_processes(workdir, tmp_path):
-    # hash randomization must not leak into float accumulation order
-    corpus = FIXTURES / "poverty.conllu"
-    # the child processes import the same mf as this one
+def _child_env(**extra):
+    """The environment of a child process that imports the same mf as
+    this one."""
     package_root = str(Path(cli.__file__).parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root,
                                                os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+
+
+def test_cli_import_needs_no_numpy():
+    out = subprocess.run(
+        [sys.executable, "-c", "import mf.cli, sys; print('numpy' in sys.modules)"],
+        check=True, env=_child_env(), capture_output=True, text=True).stdout
+    assert out == "False\n"
+
+
+def test_artifacts_identical_across_processes(workdir, tmp_path):
+    # hash randomization must not leak into float accumulation order
+    corpus = FIXTURES / "poverty.conllu"
     outputs = []
     for seed in ("1", "2"):
         wd = tmp_path / f"run{seed}"
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+        env = _child_env(PYTHONHASHSEED=seed)
         base = [sys.executable, "-m", "mf.cli"]
         flags = ["--workdir", str(wd), "--no-generalize"]
         subprocess.run(base + ["extract", "--corpus", str(corpus)] + flags,

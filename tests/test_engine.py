@@ -1,7 +1,6 @@
 import io
 import random
 
-import numpy as np
 import pytest
 
 from mf import (Proposition, Store, TopicMatrix, build_cms, cluster_sources,
@@ -126,10 +125,8 @@ def test_pattern_normalization_property():
 
 
 def test_filter_sources_keep_boundary_and_oov():
-    tm = TopicMatrix(2, {"poverty": np.array([0.3, 0.0]),
-                         "corruption": np.array([0.3, 0.0]),
-                         "edge": np.array([0.04 / 0.3, 0.0]),
-                         "far": np.array([0.0, 1.0])})
+    tm = TopicMatrix(2, {"poverty": (0.3, 0.0), "corruption": (0.3, 0.0),
+                         "edge": (0.04 / 0.3, 0.0), "far": (0.0, 1.0)})
     sources = generate_sources("poverty", _store(
         vn("fight", "poverty", 1), vn("fight", "corruption", 1),
         vn("fight", "edge", 1), vn("fight", "far", 1), vn("fight", "oovword", 1)))
@@ -144,7 +141,7 @@ def test_filter_sources_identity_cases():
     store = _store(vn("fight", "poverty", 1), vn("fight", "crime", 2))
     sources = generate_sources("poverty", store)
     assert filter_sources(sources, "poverty", None, 0.04) == sources
-    tm = TopicMatrix(1, {"poverty": np.array([1.0]), "crime": np.array([1.0])})
+    tm = TopicMatrix(1, {"poverty": (1.0,), "crime": (1.0,)})
     assert filter_sources(sources, "poverty", tm, float("inf")) == sources
     # threshold 0 with strictly positive relatedness keeps only OOV
     store2 = _store(vn("fight", "poverty", 1), vn("fight", "crime", 2),
@@ -161,7 +158,7 @@ def test_filter_output_is_sublist():
     store = make_random_store(rng, max_tuples=60, vocab=12)
     lexeme = sorted(store.lexemes())[0]
     sources = generate_sources(lexeme, store)
-    tm = TopicMatrix(2, {w: np.array([rng.random(), rng.random()])
+    tm = TopicMatrix(2, {w: (rng.random(), rng.random())
                          for w in sorted(store.lexemes())})
     kept = filter_sources(sources, lexeme, tm, 0.2)
     index = {id(s): i for i, s in enumerate(sources)}

@@ -2,7 +2,6 @@ import gzip
 import json
 import os
 
-import numpy as np
 import pytest
 
 from mf import (Store, load_expansion_table, load_gold, load_rules, load_taxonomy,

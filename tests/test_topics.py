@@ -3,7 +3,6 @@ import random
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,31 +13,25 @@ from mf.topics import save_topic_matrix
 from .lexemes import LEXEMES
 
 
-def _tm(rows, topics=2):
-    return TopicMatrix(topics, {w: np.array(v, dtype=float)
-                                for w, v in rows.items()})
-
-
 def test_disjoint_topics():
-    tm = _tm({"a": (1.0, 0.0), "b": (0.0, 1.0)})
+    tm = TopicMatrix(2, {"a": (1.0, 0.0), "b": (0.0, 1.0)})
     assert tm.relatedness("a", "b") == 0.0
 
 
 def test_hand_dot_product():
-    tm = _tm({"a": (0.5, 0.5), "b": (0.2, 0.8)})
+    tm = TopicMatrix(2, {"a": (0.5, 0.5), "b": (0.2, 0.8)})
     assert tm.relatedness("a", "b") == pytest.approx(0.5, abs=0)
 
 
 def test_self_relatedness():
-    tm = _tm({"w": (1.0, 0.0)})
+    tm = TopicMatrix(2, {"w": (1.0, 0.0)})
     assert tm.relatedness("w", "w") == 1.0
 
 
 def test_oov_relatedness_zero_with_flag():
-    tm = _tm({"a": (1.0, 0.0)})
+    tm = TopicMatrix(2, {"a": (1.0, 0.0)})
     assert tm.relatedness("a", "zzz") == 0.0
     assert tm.is_oov("zzz") and not tm.is_oov("a")
-    assert "a" in tm and "zzz" not in tm
 
 
 def test_symmetry_and_cauchy_schwarz():
@@ -46,9 +39,10 @@ def test_symmetry_and_cauchy_schwarz():
     for _ in range(30):
         t = rng.randint(1, 50)
         vocab = rng.randint(2, 100)
-        raw = np.array([[rng.random() for _ in range(t)] for _ in range(vocab)])
-        raw /= raw.sum(axis=0)  # normalize each topic over the vocabulary
-        tm = TopicMatrix(t, {f"w{i}": raw[i] for i in range(vocab)})
+        raw = [[rng.random() for _ in range(t)] for _ in range(vocab)]
+        totals = [sum(topic) for topic in zip(*raw)]  # normalize each topic
+        tm = TopicMatrix(t, {f"w{i}": [x / total for x, total in zip(row, totals)]
+                             for i, row in enumerate(raw)})
         words = sorted(tm.vocabulary())
         for _ in range(10):
             w1, w2 = rng.choice(words), rng.choice(words)
@@ -57,6 +51,16 @@ def test_symmetry_and_cauchy_schwarz():
             assert r >= 0
             bound = tm.relatedness(w1, w1) * tm.relatedness(w2, w2)
             assert r * r <= bound + 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda t: st.tuples(
+    st.lists(st.floats(0, 1), min_size=t, max_size=t),
+    st.lists(st.floats(0, 1), min_size=t, max_size=t))))
+def test_relatedness_is_the_plain_sum_of_products(vectors):
+    va, vb = vectors
+    tm = TopicMatrix(len(va), {"a": va, "b": vb})
+    assert tm.relatedness("a", "b") == sum(x * y for x, y in zip(va, vb))
 
 
 def test_load_and_header(tmp_path):
@@ -80,8 +84,10 @@ def test_wrong_width_reports_row():
 
 
 def test_negative_probability_rejected():
-    with pytest.raises(FormatError):
-        load_topic_matrix(io.StringIO("T=2\nalpha\t-0.5\t0.5\n"))
+    for value in ("-0.5", "nan", "inf", "-inf"):
+        with pytest.raises(FormatError) as err:
+            load_topic_matrix(io.StringIO(f"T=2\nalpha\t{value}\t0.5\n"))
+        assert err.value.row == 2
 
 
 @settings(max_examples=50, deadline=None)
@@ -90,7 +96,7 @@ def test_negative_probability_rejected():
     st.sampled_from(["phi.tsv", "phi.tsv.gz"]))
 def test_save_load_roundtrip(rows, name):
     topics = len(next(iter(rows.values()), [0.5]))
-    tm = _tm(rows, topics)
+    tm = TopicMatrix(topics, rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
         save_topic_matrix(tm, path)
@@ -98,7 +104,7 @@ def test_save_load_roundtrip(rows, name):
     assert back.topics == tm.topics
     assert back.vocabulary() == tm.vocabulary()
     for w in tm.vocabulary():
-        assert np.array_equal(back.vector(w), tm.vector(w))
+        assert back.vector(w) == tm.vector(w)
 
 
 def test_fixture_matrix(topic_matrix):
