@@ -268,26 +268,29 @@ def cmd_find_lms(cfg: PipelineConfig) -> int:
         except (KeyError, TypeError) as exc:
             raise MFError(f"{cm_path}: expected a list of conceptual metaphors with "
                           f"target, source_node and members[].lexeme ({exc!r})") from None
-        for cm_target, source_node, members in cms:
-            # hits are routed to lms.<t>.jsonl by their target domain
+        # hits are routed to lms.<t>.jsonl by their target domain
+        for cm_target, _, _ in cms:
             if cm_target != [target]:
                 raise MFError(f"{cm_path}: a conceptual metaphor has target "
                               f"{cm_target!r}, expected {[target]!r}")
-            specs.append((expand_domain({target}, table, store, cfg.top_patterns),
-                          expand_domain(members, table, store, cfg.top_patterns),
-                          target, source_node))
+        t_lexemes = expand_domain({target}, table, store, cfg.top_patterns)
+        specs += [(t_lexemes, expand_domain(members, table, store, cfg.top_patterns),
+                   target, source_node) for _, source_node, members in cms]
     found = dict.fromkeys(targets, 0)
     texts = {}
 
     def hits():
         for path in paths:
             for sentence in iter_sentences(path):
-                for t_lexemes, s_lexemes, t_dom, s_dom in specs:
+                sentence_hits = [
+                    hit for t_lexemes, s_lexemes, t_dom, s_dom in specs
                     for hit in find_lms([sentence], t_lexemes, s_lexemes,
-                                        target_domain=t_dom, source_domain=s_dom):
-                        found[t_dom] += 1
-                        texts[sentence.id] = sentence.text
-                        yield hit
+                                        target_domain=t_dom, source_domain=s_dom)]
+                if sentence_hits:
+                    texts[sentence.id] = sentence.text
+                for hit in sentence_hits:
+                    found[hit.target_domain] += 1
+                    yield hit
 
     sampled = {target: [] for target in targets}
     for hit in sample_hits(hits(), cfg.per_pair, cfg.seed):

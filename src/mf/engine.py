@@ -8,8 +8,10 @@ seed's tuples whose patterns it also fills; which patterns those are is
 kept as per-source evidence, because pattern sharing is what a conceptual
 metaphor transfers.
 
-All rankings break ties by (weight desc, raw frequency desc, lexicographic
-asc) so results are identical across runs and schedules.
+Each ranking breaks ties by a fixed key, so results are identical across
+runs and schedules: salient properties by (weight desc, frequency desc,
+then the store's tuple and slot order), sources by (weight desc, evidence
+frequency desc, lexeme asc), concepts and CMs by (weight desc, node asc).
 """
 
 from dataclasses import dataclass, field
@@ -168,7 +170,11 @@ def cluster_sources(sources: list[WeightedSource], tax: Taxonomy,
     for node in kept:
         members = qualifying[node]
         patterns = frozenset(p for m in members for p in m.evidence)
-        weight = sum(m.weight for m in members)
+        # left to right on every Python: since 3.12 the built-in sum
+        # compensates float rounding, which would move weights and tie order
+        weight = 0.0
+        for m in members:
+            weight += m.weight
         concepts.append(SourceConcept(node, members, patterns, weight))
     concepts.sort(key=lambda c: (-c.weight, c.node))
     return concepts

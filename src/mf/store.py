@@ -1,12 +1,13 @@
 """Weighted proposition tuples and the frequency store over them.
 
 A proposition is a pattern-labeled tuple of lemmas; a pattern key is a
-proposition with exactly one slot blanked. The store counts identical
-tuples, then freezes into a read-only store; the first lexeme or pattern
-query builds its index.
+proposition with exactly one slot blanked. Both are plain typed tuples, so
+hashing, equality and ordering run at C speed. The slot-count rule (a label
+takes exactly `label_arity` slots) is checked where a tuple enters a store,
+in `Store.add`. The store counts identical tuples, then freezes into a
+read-only store; the first lexeme or pattern query builds its index.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -18,41 +19,25 @@ from .textio import TextSource, TextTarget
 BLANK_TEXT = "_"
 
 
-@dataclass(frozen=True, order=True)
-class Proposition:
+class Proposition(NamedTuple):
     label: str
     slots: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.slots) != label_arity(self.label):
-            raise FormatError(
-                f"label {self.label} takes {label_arity(self.label)} slots, "
-                f"got {len(self.slots)}")
-
     def pattern(self, position: int) -> "PatternKey":
         """Blank out the slot at `position`."""
-        slots = tuple(None if i == position else s
-                      for i, s in enumerate(self.slots))
-        return PatternKey(self.label, slots)
+        if not 0 <= position < len(self.slots):
+            raise IndexError(f"no slot {position} in {self.text}")
+        return PatternKey(self.label, self.slots[:position] + (None,)
+                          + self.slots[position + 1:])
 
     @property
     def text(self) -> str:
         return " ".join((self.label,) + self.slots)
 
 
-@dataclass(frozen=True)
-class PatternKey:
+class PatternKey(NamedTuple):
     label: str
     slots: tuple[Optional[str], ...]
-
-    def __post_init__(self):
-        if sum(1 for s in self.slots if s is None) != 1:
-            raise FormatError(
-                f"pattern key must have exactly one blank slot: {self.slots}")
-        if len(self.slots) != label_arity(self.label):
-            raise FormatError(
-                f"label {self.label} takes {label_arity(self.label)} slots, "
-                f"got {len(self.slots)}")
 
     @property
     def blank_position(self) -> int:
@@ -64,8 +49,7 @@ class PatternKey:
         return " ".join((self.label,) + rendered)
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """One extracted proposition instance with provenance."""
     prop: Proposition
     sentence_id: str
@@ -103,9 +87,14 @@ class Store:
             raise StoreStateError("cannot mutate a frozen store")
 
     def add(self, prop: Proposition, frequency: int = 1) -> "Store":
+        """Count a tuple; FormatError if its label takes another slot count."""
         self._require_mutable()
         if frequency < 1:
             raise ValueError(f"frequency must be >= 1, got {frequency}")
+        if len(prop.slots) != label_arity(prop.label):
+            raise FormatError(
+                f"label {prop.label} takes {label_arity(prop.label)} slots, "
+                f"got {len(prop.slots)}")
         self._counts[prop] = self._counts.get(prop, 0) + frequency
         return self
 
@@ -217,10 +206,9 @@ class Store:
             if freq < 1:
                 raise FormatError(f"frequency must be >= 1, got {freq}", rowno)
             try:
-                prop = Proposition(label, slots)
+                store.add(Proposition(label, slots), freq)
             except FormatError as exc:
                 raise FormatError(str(exc), rowno) from None
-            store.add(prop, freq)
         return store.freeze()
 
 

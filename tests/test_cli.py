@@ -12,6 +12,9 @@ from mf.cli import main
 
 from .corpusgen import FIXTURES
 
+# the artifacts of test_pipeline_stages_and_rerun_identical, kept byte for byte
+EXPECTED = Path(__file__).parent / "expected"
+
 
 @pytest.fixture()
 def workdir(tmp_path):
@@ -121,6 +124,8 @@ def test_pipeline_stages_and_rerun_identical(workdir):
     artifacts = ["store.tsv", "properties.poverty.tsv", "sources.poverty.tsv",
                  "cms.poverty.json", "lms.poverty.jsonl"]
     first = {name: (workdir / name).read_bytes() for name in artifacts}
+    for name in artifacts:
+        assert first[name] == (EXPECTED / name).read_bytes(), name
 
     run("extract", "--corpus", corpus, *args)
     run("properties", "--target", "poverty", *args)

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from mf import (Proposition, Store, TopicMatrix, build_cms, cluster_sources,
-                filter_sources, generate_sources, load_taxonomy,
-                salient_properties, tuple_weight)
+from mf import (PatternKey, Proposition, Store, TopicMatrix, WeightedSource,
+                build_cms, cluster_sources, filter_sources, generate_sources,
+                load_taxonomy, salient_properties, tuple_weight)
 
 from .randstores import brute_force_sources, make_random_store
 
@@ -212,6 +212,16 @@ def test_cluster_concept_weight_is_member_sum():
     location = next(c for c in concepts if c.node == "wordnet_location")
     assert location.weight == pytest.approx(
         sum(m.weight for m in location.members), abs=1e-12)
+
+    tenths = [WeightedSource(f"w{i}", 0.1, {PatternKey("VN", (f"v{i}", None)): 0.1})
+              for i in range(10)]
+    tax = load_taxonomy(io.StringIO(
+        "NODES\nwordnet_w\tclass\nLEXICON\n"
+        + "".join(f"w{i}\twordnet_w\n" for i in range(10))))
+    [concept] = cluster_sources(tenths, tax, k=5)
+    # added left to right, the same on every Python; a correctly rounded
+    # sum (3.12's built-in sum, math.fsum) gives 1.0
+    assert concept.weight == 0.9999999999999999
 
 
 def test_cluster_singletons_need_k_patterns():

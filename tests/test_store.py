@@ -207,7 +207,15 @@ def test_pattern_key_invariants():
     assert key.blank_position == 1
     assert vn("fight", "poverty").pattern(1) == key
     assert vn("cure", "poverty").pattern(1) != key
+    for position in (-1, 2):
+        with pytest.raises(IndexError):
+            vn("fight", "poverty").pattern(position)
+
+
+def test_add_rejects_slot_count_of_another_label():
+    store = Store()
     with pytest.raises(FormatError):
-        PatternKey("VN", ("fight", "poverty"))  # no blank
+        store.add(Proposition("VN", ("fight", "poverty", "now")))
     with pytest.raises(FormatError):
-        PatternKey("VN", (None, None))  # two blanks
+        store.add(Proposition("NVPN", ("war", "rage")))
+    assert len(store) == 0
