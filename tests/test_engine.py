@@ -219,8 +219,8 @@ def test_cluster_concept_weight_is_member_sum():
         "NODES\nwordnet_w\tclass\nLEXICON\n"
         + "".join(f"w{i}\twordnet_w\n" for i in range(10))))
     [concept] = cluster_sources(tenths, tax, k=5)
-    # added left to right, the same on every Python; a correctly rounded
-    # sum (3.12's built-in sum, math.fsum) gives 1.0
+    # added left to right, the same on every Python; a compensated sum
+    # (the built-in sum since 3.12, or math.fsum) gives 1.0
     assert concept.weight == 0.9999999999999999
 
 
