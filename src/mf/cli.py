@@ -277,20 +277,12 @@ def cmd_find_lms(cfg: PipelineConfig) -> int:
         specs += [(t_lexemes, expand_domain(members, table, store, cfg.top_patterns),
                    target, source_node) for _, source_node, members in cms]
     found = dict.fromkeys(targets, 0)
-    texts = {}
 
     def hits():
-        for path in paths:
-            for sentence in iter_sentences(path):
-                sentence_hits = [
-                    hit for t_lexemes, s_lexemes, t_dom, s_dom in specs
-                    for hit in find_lms([sentence], t_lexemes, s_lexemes,
-                                        target_domain=t_dom, source_domain=s_dom)]
-                if sentence_hits:
-                    texts[sentence.id] = sentence.text
-                for hit in sentence_hits:
-                    found[hit.target_domain] += 1
-                    yield hit
+        sentences = (s for path in paths for s in iter_sentences(path))
+        for hit in find_lms(sentences, specs):
+            found[hit.target_domain] += 1
+            yield hit
 
     sampled = {target: [] for target in targets}
     for hit in sample_hits(hits(), cfg.per_pair, cfg.seed):
@@ -307,7 +299,7 @@ def cmd_find_lms(cfg: PipelineConfig) -> int:
                     "direction": hit.direction,
                     "target_domain": hit.target_domain,
                     "source_domain": hit.source_domain,
-                    "text": sidecar.get(hit.sentence_id, texts[hit.sentence_id]),
+                    "text": sidecar.get(hit.sentence_id, hit.text),
                 }
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         print(f"{out}: {len(sampled[target])} hits sampled from {found[target]}")

@@ -1,15 +1,15 @@
 """Domain expansion and dependency-link retrieval of candidate metaphors.
 
-A hit is any sentence arc whose endpoint lemmas land in (targets x sources),
-in either direction and under any dependency label; no metaphoricity
-judgment is made. Sampling caps hits per domain pair and is reproducible:
-groups and pools are sorted internally, so the result does not depend on
-input order or scheduling.
+A hit is any sentence arc whose endpoint lemmas land in (targets x sources)
+of a conceptual metaphor, in either direction and under any dependency
+label; one pass checks every arc against all conceptual metaphors at once,
+and no metaphoricity judgment is made. Sampling caps hits per domain pair
+and is reproducible: groups and pools are sorted internally, so the result
+does not depend on input order or scheduling.
 """
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import textio
 from .conllu import Sentence
@@ -61,8 +61,7 @@ def expand_domain(seed: set[str], table: Optional[ExpansionTable],
     return out
 
 
-@dataclass(frozen=True)
-class LMHit:
+class LMHit(NamedTuple):
     sentence_id: str
     target_token: int
     source_token: int
@@ -72,44 +71,49 @@ class LMHit:
     matched_source: str
     target_domain: str
     source_domain: str
+    text: str  # the hit sentence's text, shared by all its hits
 
 
-def find_lms(sentences: Iterable[Sentence], targets: set[str], sources: set[str],
-             target_domain: Optional[str] = None,
-             source_domain: Optional[str] = None) -> Iterator[LMHit]:
-    """Stream hits for every arc linking a target lemma to a source lemma.
-
-    Domain tags default to the matched lexemes; drivers retrieving per
-    conceptual metaphor pass the CM's domains so sampling can group by
-    concept pair.
-    """
-    if not targets or not sources:
-        return
+def find_lms(sentences: Iterable[Sentence],
+             specs: Sequence[tuple[Collection[str], Collection[str], str, str]]
+             ) -> Iterator[LMHit]:
+    """Stream a hit for every arc, direction and spec whose target lexemes
+    hold the lemma at the arc's target end and whose source lexemes the one
+    at its source end. A spec is one conceptual metaphor's (target lexemes,
+    source lexemes, target domain, source domain); duplicate specs give
+    duplicate hits. The specs are indexed by lemma first, so each arc looks
+    up its two lemmas once per direction, whatever the number of specs."""
+    on_target: dict[str, set[int]] = {}
+    on_source: dict[str, set[int]] = {}
+    for i, (targets, sources, _, _) in enumerate(specs):
+        for lemma in targets:
+            on_target.setdefault(lemma, set()).add(i)
+        for lemma in sources:
+            on_source.setdefault(lemma, set()).add(i)
+    empty: set[int] = set()
     for sentence in sentences:
+        text = None
         for tok in sentence.tokens:
             if tok.head == 0:
                 continue
             head = sentence.token_at(tok.head)
-            for t_tok, s_tok in ((tok, head), (head, tok)):
-                if t_tok.lemma in targets and s_tok.lemma in sources:
-                    direction = ("target-headed" if t_tok.index == tok.head
-                                 else "source-headed")
-                    yield LMHit(
-                        sentence_id=sentence.id,
-                        target_token=t_tok.index,
-                        source_token=s_tok.index,
-                        deprel=tok.deprel,
-                        direction=direction,
-                        matched_target=t_tok.lemma,
-                        matched_source=s_tok.lemma,
-                        target_domain=target_domain or t_tok.lemma,
-                        source_domain=source_domain or s_tok.lemma,
-                    )
+            for t, s, direction in ((tok, head, "source-headed"),
+                                    (head, tok, "target-headed")):
+                matched = on_target.get(t.lemma, empty) & on_source.get(s.lemma, empty)
+                if not matched:
+                    continue
+                if text is None:
+                    text = sentence.text
+                for i in matched:
+                    _, _, t_dom, s_dom = specs[i]
+                    yield LMHit(sentence.id, t.index, s.index, tok.deprel, direction,
+                                t.lemma, s.lemma, t_dom, s_dom, text)
 
 
 def sample_hits(hits: Iterable[LMHit], per_pair: int, seed: int) -> list[LMHit]:
     """Uniformly sample at most per_pair hits per (target domain, source
-    domain) pair, without replacement, at most one hit per sentence per pair.
+    domain) pair, without replacement, at most one hit per sentence id per
+    pair: sentences that share an id count as one.
 
     Deterministic under the seed regardless of input order: each pair group
     draws from its own generator seeded by (seed, pair)."""
@@ -120,8 +124,7 @@ def sample_hits(hits: Iterable[LMHit], per_pair: int, seed: int) -> list[LMHit]:
         pair = (hit.target_domain, hit.source_domain)
         per_sentence = groups.setdefault(pair, {})
         best = per_sentence.get(hit.sentence_id)
-        if best is None or (hit.target_token, hit.source_token, hit.deprel) < \
-                (best.target_token, best.source_token, best.deprel):
+        if best is None or hit < best:  # tokens, then relation, then the rest
             per_sentence[hit.sentence_id] = hit
     out: list[LMHit] = []
     for pair in sorted(groups):

@@ -181,9 +181,8 @@ def test_c08_lm_retrieval_and_sampling(corpus_sentences):
         targets = {"poverty", "poor"}
         sources = {"chronic", "cure", "treat", "medicine", "country",
                    "cure-all"}
-        hits = list(find_lms(corpus_sentences, targets, sources,
-                             target_domain="poverty",
-                             source_domain="wordnet_illness"))
+        hits = list(find_lms(corpus_sentences, [(targets, sources, "poverty",
+                                                  "wordnet_illness")]))
         amod = [h for h in hits if h.matched_target == "poverty"
                 and h.matched_source == "chronic" and h.deprel == "amod"]
         assert amod, "chronic poverty hits missing"

@@ -283,6 +283,42 @@ def test_find_lms_keeps_hits_from_shards_without_sent_ids(workdir, tmp_path):
     assert sorted(ids) == ["a.conllu:s1", "b.conllu:s1"]
 
 
+SHARED_ID = """\
+# sent_id = x
+1\tDeep\tdeep\tADJ\t_\t_\t2\tamod\t_\t_
+2\tpoverty\tpoverty\tNOUN\t_\t_\t3\tnsubj\t_\t_
+3\tfrightens\tfrighten\tVERB\t_\t_\t0\troot\t_\t_
+
+# sent_id = x
+1\tThe\tthe\tDET\t_\t_\t2\tdet\t_\t_
+2\tsea\tsea\tNOUN\t_\t_\t4\tnsubj\t_\t_
+3\tis\tbe\tAUX\t_\t_\t4\tcop\t_\t_
+4\tcalm\tcalm\tADJ\t_\t_\t0\troot\t_\t_
+5\tand\tand\tCCONJ\t_\t_\t8\tcc\t_\t_
+6\tdeep\tdeep\tADJ\t_\t_\t7\tamod\t_\t_
+7\tpoverty\tpoverty\tNOUN\t_\t_\t8\tnsubj\t_\t_
+8\tspreads\tspread\tVERB\t_\t_\t4\tconj\t_\t_
+"""
+
+
+def test_find_lms_text_comes_from_the_hit_sentence(workdir, tmp_path):
+    # both sentences are named x and count as one when sampling; the hit
+    # kept for x is the first sentence's, and so must be its text
+    corpus = tmp_path / "shared.conllu"
+    corpus.write_text(SHARED_ID, encoding="utf-8")
+    workdir.mkdir()
+    for name in ("store.tsv", "cms.poverty.json"):
+        shutil.copy(EXPECTED / name, workdir / name)
+    assert run("find-lms", "--target", "poverty", "--corpus", corpus,
+               "--expansion-table", FIXTURES / "expansion.tsv",
+               "--workdir", workdir, "--no-generalize") == 0
+    records = [json.loads(line) for line in
+               (workdir / "lms.poverty.jsonl").read_text("utf-8").splitlines()]
+    amod = [r for r in records if r["deprel"] == "amod"]
+    assert amod and all(r["source"] == "deep" for r in amod)
+    assert {r["text"] for r in amod} == {"Deep poverty frightens"}
+
+
 def test_shards_sharing_a_file_name_rejected(workdir, tmp_path, capsys):
     shards = [tmp_path / d / "part.conllu" for d in ("x", "y")]
     for shard in shards:

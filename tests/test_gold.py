@@ -1,10 +1,13 @@
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mf import Store, eval_gold, load_expansion_table, load_gold
 from mf.errors import FormatError
 from mf.gold import GoldMapping
+
+from .lexemes import LEXEMES, tsv_files
 
 
 @pytest.fixture(scope="module")
@@ -13,6 +16,18 @@ def gold_fixture(fixtures_dir):
     return (load_gold(gold_dir / "gold.tsv"),
             Store.load(gold_dir / "gold_store.tsv"),
             load_expansion_table(gold_dir / "gold_expansion.tsv"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tsv_files(st.tuples(st.one_of(st.sampled_from(["g1", "g2"]), LEXEMES),
+                           st.sampled_from("TS"), LEXEMES)))
+def test_load_gold_reads_generated_rows(file):
+    rows, text = file
+    expected = {}
+    for name, side, lexeme in rows:
+        expected.setdefault(name, {"T": set(), "S": set()})[side].add(lexeme)
+    assert [(m.name, m.targets, m.sources) for m in load_gold(io.StringIO(text))] \
+        == [(name, sides["T"], sides["S"]) for name, sides in expected.items()]
 
 
 def test_load_gold_groups_sides(fixtures_dir):

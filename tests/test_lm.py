@@ -1,13 +1,16 @@
 import io
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mf import (ExpansionTable, expand_domain, find_lms,
+from mf import (ExpansionTable, LMHit, Sentence, Token, expand_domain, find_lms,
                 load_expansion_table, parse_conllu, sample_hits)
 from mf.errors import FormatError
 
 from .corpusgen import an, _block
+from .lexemes import LEXEMES, tsv_files
 
 
 def _sentences(*blocks):
@@ -26,6 +29,18 @@ def test_expansion_table_bad_row():
     with pytest.raises(FormatError) as err:
         load_expansion_table(io.StringIO("only\ttwo\n"))
     assert err.value.row == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(tsv_files(st.tuples(LEXEMES, st.sampled_from(["IsA", "#rel"]), LEXEMES)))
+def test_expansion_table_reads_generated_rows(file):
+    rows, text = file
+    table = load_expansion_table(io.StringIO(text))
+    expected = {}
+    for lexeme, _, related in rows:
+        expected.setdefault(lexeme, set()).add(related)
+    for lexeme in {r[0] for r in rows} | {r[2] for r in rows}:
+        assert table.related(lexeme) == expected.get(lexeme, set())
 
 
 def test_expand_domain_contains_seed_and_table(fixtures_dir):
@@ -55,7 +70,7 @@ def test_expand_domain_adds_pattern_content(corpus_store):
 
 def test_find_lms_amod_hit():
     sents = _sentences(an("chronic", "poverty", ("persists", "persist")))
-    hits = list(find_lms(sents, {"poverty"}, {"chronic"}))
+    hits = list(find_lms(sents, [({"poverty"}, {"chronic"}, "poverty", "illness")]))
     assert len(hits) == 1
     hit = hits[0]
     assert hit.matched_target == "poverty"
@@ -66,7 +81,7 @@ def test_find_lms_amod_hit():
 
 def test_find_lms_overgenerates_by_design():
     sents = _sentences(an("poor", "country", ("struggles", "struggle")))
-    hits = list(find_lms(sents, {"poor"}, {"country"}))
+    hits = list(find_lms(sents, [({"poor"}, {"country"}, "poverty", "country")]))
     assert len(hits) == 1
     assert hits[0].direction == "source-headed"
 
@@ -74,18 +89,20 @@ def test_find_lms_overgenerates_by_design():
 def test_find_lms_requires_direct_arc(corpus_sentences):
     planted = [s for s in corpus_sentences if "cure-all" in s.text]
     assert planted
-    hits = list(find_lms(planted, {"poverty"}, {"cure-all"}))
+    hits = list(find_lms(planted, [({"poverty"}, {"cure-all"}, "poverty", "cure")]))
     assert hits == []
 
 
 def test_find_lms_empty_sets(corpus_sentences):
-    assert list(find_lms(corpus_sentences, set(), {"x"})) == []
-    assert list(find_lms(corpus_sentences, {"x"}, set())) == []
+    assert list(find_lms(corpus_sentences, [(set(), {"x"}, "t", "s")])) == []
+    assert list(find_lms(corpus_sentences, [({"x"}, set(), "t", "s")])) == []
+    assert list(find_lms(corpus_sentences, [])) == []
 
 
 def test_find_lms_arcs_exist(corpus_sentences):
-    hits = list(find_lms(corpus_sentences, {"poverty", "poor"},
-                         {"chronic", "cure", "country"}))
+    hits = list(find_lms(corpus_sentences, [({"poverty", "poor"},
+                                             {"chronic", "cure", "country"},
+                                             "poverty", "illness")]))
     assert hits
     by_id = {s.id: s for s in corpus_sentences}
     for hit in hits:
@@ -97,25 +114,28 @@ def test_find_lms_arcs_exist(corpus_sentences):
 
 
 def test_find_lms_monotone(corpus_sentences):
-    small = len(list(find_lms(corpus_sentences, {"poverty"}, {"chronic"})))
-    more_sources = len(list(find_lms(corpus_sentences, {"poverty"},
-                                     {"chronic", "cure"})))
-    more_targets = len(list(find_lms(corpus_sentences, {"poverty", "poor"},
-                                     {"chronic", "cure", "country"})))
+    def count(targets, sources):
+        return len(list(find_lms(corpus_sentences,
+                                 [(targets, sources, "poverty", "illness")])))
+    small = count({"poverty"}, {"chronic"})
+    more_sources = count({"poverty"}, {"chronic", "cure"})
+    more_targets = count({"poverty", "poor"}, {"chronic", "cure", "country"})
     assert small <= more_sources <= more_targets
 
 
 def test_sample_hits_counts(corpus_sentences):
-    hits = list(find_lms(corpus_sentences, {"poverty"}, {"chronic"},
-                         target_domain="poverty", source_domain="illness"))
+    hits = list(find_lms(corpus_sentences,
+                         [({"poverty"}, {"chronic"}, "poverty", "illness")]))
     assert len(hits) == 5
     assert len(sample_hits(hits, per_pair=10, seed=3)) == 5  # fewer than cap
     assert len(sample_hits(hits, per_pair=2, seed=3)) == 2
 
 
 def test_sample_hits_deterministic_and_order_insensitive(corpus_sentences):
-    hits = list(find_lms(corpus_sentences, {"poverty", "poor"},
-                         {"chronic", "cure", "medicine", "country"}))
+    # one spec per source lemma, so several domain pairs are sampled
+    hits = list(find_lms(corpus_sentences, [
+        ({"poverty", "poor"}, {source}, "poverty", source)
+        for source in ("chronic", "cure", "medicine", "country")]))
     first = sample_hits(hits, per_pair=3, seed=11)
     assert sample_hits(hits, per_pair=3, seed=11) == first
     shuffled = hits[:]
@@ -130,12 +150,71 @@ def test_sample_hits_one_per_sentence_per_pair():
             ("wars", "war", "NOUN", 2, "obj"),
             (".", ".", "PUNCT", 2, "punct")]
     sents = _sentences(rows)
-    hits = list(find_lms(sents, {"war"}, {"fight"}))
+    hits = list(find_lms(sents, [({"war"}, {"fight"}, "war", "fight")]))
     assert len(hits) == 2  # two distinct war tokens hit the same verb
     sampled = sample_hits(hits, per_pair=10, seed=1)
     assert len(sampled) == 1
+    # sentences sharing an id count as one, and the hit kept for them does
+    # not depend on which comes first
+    shouted = [("WARS",) + rows[0][1:], *rows[1:]]
+    twins = [Sentence("x", s.tokens) for s in _sentences(rows, shouted)]
+    hits = list(find_lms(twins, [({"war"}, {"fight"}, "war", "fight")]))
+    assert {h.text for h in hits} == {"Wars fight wars .", "WARS fight wars ."}
+    assert sample_hits(hits, 10, 1) == sample_hits(hits[::-1], 10, 1)
+    assert len(sample_hits(hits, 10, 1)) == 1
 
 
 def test_sample_hits_per_pair_validation():
     with pytest.raises(ValueError):
         sample_hits([], per_pair=0, seed=1)
+
+
+LEMMAS = "abc"
+
+
+@st.composite
+def trees(draw, sid):
+    """A valid sentence: token 1 is the root, every other token's head is
+    an earlier token, lemmas come from a small alphabet."""
+    n = draw(st.integers(1, 6))
+    tokens = [Token(i, f"w{i}", draw(st.sampled_from(LEMMAS)), "X",
+                    0 if i == 1 else draw(st.integers(1, i - 1)),
+                    draw(st.sampled_from(["amod", "obj", "nsubj"])))
+              for i in range(1, n + 1)]
+    return Sentence(sid, tuple(tokens)).validate()
+
+
+@st.composite
+def spec_lists(draw):
+    """Specs whose sides may be empty or overlap, some of them repeated."""
+    sides = st.frozensets(st.sampled_from(LEMMAS))
+    specs = draw(st.lists(st.tuples(sides, sides, st.sampled_from("TU"),
+                                    st.sampled_from("SR")), max_size=4))
+    return specs + (draw(st.lists(st.sampled_from(specs), max_size=3)) if specs else [])
+
+
+def _reference_hits(sentences, specs):
+    """Every ordered pair of tokens joined by an arc, against every spec."""
+    out = Counter()
+    for sent in sentences:
+        for t in sent.tokens:
+            for s in sent.tokens:
+                if t.head == s.index:
+                    direction, deprel = "source-headed", t.deprel
+                elif s.head == t.index:
+                    direction, deprel = "target-headed", s.deprel
+                else:
+                    continue
+                for targets, sources, t_dom, s_dom in specs:
+                    if t.lemma in targets and s.lemma in sources:
+                        out[LMHit(sent.id, t.index, s.index, deprel, direction,
+                                  t.lemma, s.lemma, t_dom, s_dom, sent.text)] += 1
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["s1", "s2", "s3"]).flatmap(trees), max_size=5),
+       spec_lists())
+def test_find_lms_matches_brute_force(sentences, specs):
+    # duplicate specs must give duplicate hits
+    assert Counter(find_lms(sentences, specs)) == _reference_hits(sentences, specs)

@@ -1,9 +1,12 @@
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mf import load_taxonomy, map_noun
 from mf.errors import FormatError
+
+from .lexemes import LEXEMES
 
 
 def test_mixed_candidates_prefer_classes(taxonomy):
@@ -90,3 +93,42 @@ def test_lexicon_referencing_unknown_node_rejected():
     text = "NODES\na\tclass\nLEXICON\nword\tmissing\n"
     with pytest.raises(FormatError):
         load_taxonomy(io.StringIO(text))
+
+
+@st.composite
+def dags(draw):
+    """(kinds, parents) of a random DAG whose instances all have a class
+    ancestor: node 0 is a class, every node's parents come before it, and
+    an instance has at least one parent."""
+    ids = draw(st.lists(LEXEMES, min_size=1, max_size=8, unique=True))
+    kinds, parents = {}, {}
+    for i, node in enumerate(ids):
+        kind = "class" if i == 0 else draw(st.sampled_from(["class", "instance"]))
+        kinds[node] = kind
+        parents[node] = set() if i == 0 else draw(
+            st.sets(st.sampled_from(ids[:i]), min_size=int(kind == "instance")))
+    return kinds, parents
+
+
+@settings(max_examples=100, deadline=None)
+@given(dags(), st.randoms(use_true_random=False))
+def test_taxonomy_ancestors_are_the_transitive_closure(dag, rng):
+    kinds, parents = dag
+    nodes = [f"{n}\t{k}\n" for n, k in kinds.items()]
+    edges = [f"{c}\t{p}\n" for c in parents for p in parents[c]]
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    tax = load_taxonomy(io.StringIO("# taxonomy\nNODES\n" + "".join(nodes)
+                                    + "EDGES\n" + "".join(edges)))
+    closure = {n: set(ps) for n, ps in parents.items()}
+    changed = True
+    while changed:
+        changed = False
+        for n in closure:
+            reached = set().union(closure[n], *(closure[p] for p in closure[n]))
+            changed |= reached != closure[n]
+            closure[n] = reached
+    for n in kinds:
+        assert tax.kind(n) == kinds[n]
+        assert tax.ancestors(n, reflexive=False) == closure[n]
+        assert tax.ancestors(n) == closure[n] | {n}
