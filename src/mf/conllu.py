@@ -8,16 +8,14 @@ position, prefixed with the file name ("a.conllu:s3") when read from a
 path, so sentences from different shards keep distinct ids.
 """
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import textio
 from .errors import ConlluParseError, SentenceStructureError
 from .textio import TextSource
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     index: int
     surface: str
     lemma: str
@@ -26,10 +24,9 @@ class Token:
     deprel: str
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     id: str
-    tokens: tuple[Token, ...] = field(default_factory=tuple)
+    tokens: tuple[Token, ...] = ()
 
     def token_at(self, index: int) -> Token:
         """Tokens are 1-based and contiguous, so position maps directly."""

@@ -5,7 +5,8 @@ parsers present them: deprel subtypes are stripped, passives are folded into
 the active frame (nsubj:pass fills the object slot, obl:agent the subject
 slot), and subjects are propagated down xcomp chains so controlled verbs see
 their logical subject. Declarative rules then match connected arc templates
-over that set and emit pattern-labeled lemma tuples.
+over that set, joining one arc at a time, and emit pattern-labeled lemma
+tuples.
 
 Rules are data: each names a pattern label, a list of arcs over variables,
 per-variable UPOS constraints, and the variable-to-slot order. The shipped
@@ -24,7 +25,6 @@ from .store import Occurrence, Proposition
 from .textio import TextSource
 
 NOMINAL = frozenset({"NOUN", "PROPN", "PRON"})
-_SUBJ_RELS = frozenset({"nsubj"})
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class ExtractionRule:
                 f"arity-{label_arity(self.label)} label")
         if len(set(self.slots)) != len(self.slots):
             raise FormatError(f"rule {self.label}: slot variables must be distinct")
-        if not set(self.slots) <= variables:
-            raise FormatError(f"rule {self.label}: unknown slot variable")
+        if not set(self.slots) | set(self.upos) <= variables:
+            raise FormatError(f"rule {self.label}: slot or UPOS variable not in an arc")
         # arcs must be orderable so each one has its head already bound
         object.__setattr__(self, "arcs", _order_arcs(self.label, self.arcs))
 
@@ -81,31 +81,33 @@ def _order_arcs(label: str, arcs: tuple[RuleArc, ...]) -> tuple[RuleArc, ...]:
 
 
 def normalize_arcs(sentence: Sentence) -> set[tuple[int, int, str]]:
-    """Flatten a sentence into (head, dep, rel) arcs with binding applied."""
+    """Flatten a sentence (a tree) into (head, dep, rel) arcs with binding
+    applied: a controlled predicate without a subject of its own takes those
+    of the nearest controller up its xcomp chain that has any."""
     arcs: set[tuple[int, int, str]] = set()
+    subjects: dict[int, list[int]] = {}
+    controller: dict[int, int] = {}
     for tok in sentence.tokens:
         if tok.head == 0:
             continue
         rel = tok.deprel.lower()
         base = rel.split(":")[0]
         if base == "nsubj" and rel.endswith(":pass"):
-            arcs.add((tok.head, tok.index, "obj"))
+            base = "obj"
         elif base == "obl" and rel.endswith(":agent"):
-            arcs.add((tok.head, tok.index, "nsubj"))
-        else:
-            arcs.add((tok.head, tok.index, base))
-    # propagate subjects down xcomp chains to the controlled predicate
-    changed = True
-    while changed:
-        changed = False
-        has_subj = {h for h, _, r in arcs if r in _SUBJ_RELS}
-        for head, dep, rel in sorted(arcs):
-            if rel != "xcomp" or dep in has_subj:
-                continue
-            for h2, subj, r2 in sorted(arcs):
-                if h2 == head and r2 in _SUBJ_RELS:
-                    arcs.add((dep, subj, r2))
-                    changed = True
+            base = "nsubj"
+        arcs.add((tok.head, tok.index, base))
+        if base == "nsubj":
+            subjects.setdefault(tok.head, []).append(tok.index)
+        elif base == "xcomp":
+            controller[tok.index] = tok.head
+    for dep, head in controller.items():
+        if dep in subjects:
+            continue
+        while head not in subjects and head in controller:
+            head = controller[head]
+        for subj in subjects.get(head, ()):
+            arcs.add((dep, subj, "nsubj"))
     return arcs
 
 
@@ -135,54 +137,45 @@ def extract_propositions(sentence: Sentence,
     for head, dep, rel in arcs:
         children.setdefault(head, []).append((dep, rel))
 
-    seen: set[tuple[str, tuple[int, ...]]] = set()
-    results: list[Occurrence] = []
+    found: dict[tuple[str, tuple[int, ...]], Occurrence] = {}
     for rule in rules:
         roles = label_roles(rule.label)
         for binding in _match(rule, sentence, children):
             indices = tuple(binding[v] for v in rule.slots)
             key = (rule.label, indices)
-            if key in seen:
-                continue
-            seen.add(key)
-            slots = tuple(_slot_lemma(sentence, idx, roles[i], children)
-                          for i, idx in enumerate(indices))
-            prop = Proposition(rule.label, slots)
-            results.append(Occurrence(prop, sentence.id, indices))
-    results.sort(key=lambda occ: (occ.prop.label, occ.token_indices))
-    return results
+            if key not in found:
+                slots = tuple(_slot_lemma(sentence, idx, roles[i], children)
+                              for i, idx in enumerate(indices))
+                found[key] = Occurrence(Proposition(rule.label, slots),
+                                        sentence.id, indices)
+    return [found[key] for key in sorted(found)]
 
 
 def _match(rule: ExtractionRule, sentence: Sentence,
-           children: Mapping[int, list[tuple[int, str]]]):
-    def upos_ok(var: str, index: int) -> bool:
-        allowed = rule.upos.get(var)
-        return not allowed or sentence.token_at(index).upos in allowed
-
-    def extend(arc_i: int, binding: dict[str, int]):
-        if arc_i == len(rule.arcs):
-            yield dict(binding)
-            return
-        arc = rule.arcs[arc_i]
-        head_idx = binding[arc.head]
-        for dep_idx, rel in children.get(head_idx, ()):
-            if rel not in arc.rels or not upos_ok(arc.dep, dep_idx):
-                continue
-            if arc.dep in binding:
-                if binding[arc.dep] != dep_idx:
+           children: Mapping[int, list[tuple[int, str]]]) -> list[dict[str, int]]:
+    """Bind the anchor to each token its UPOS set accepts, then extend every
+    binding through each arc in turn: a bound dependent must be the child, an
+    unbound one a child no variable holds. A missing or empty UPOS set
+    accepts any UPOS."""
+    tokens = sentence.tokens
+    allowed = rule.upos.get(rule.anchor)
+    bindings = [{rule.anchor: tok.index} for tok in tokens
+                if not allowed or tok.upos in allowed]
+    for arc in rule.arcs:
+        allowed = rule.upos.get(arc.dep)
+        extended = []
+        for binding in bindings:
+            bound = binding.get(arc.dep)
+            for dep, rel in children.get(binding[arc.head], ()):
+                if rel not in arc.rels or allowed and tokens[dep - 1].upos not in allowed:
                     continue
-                yield from extend(arc_i + 1, binding)
-            else:
-                if dep_idx in binding.values():
-                    continue  # variables bind distinct tokens
-                binding[arc.dep] = dep_idx
-                yield from extend(arc_i + 1, binding)
-                del binding[arc.dep]
-
-    anchor = rule.anchor
-    for tok in sentence.tokens:
-        if upos_ok(anchor, tok.index):
-            yield from extend(0, {anchor: tok.index})
+                if bound is None:
+                    if dep not in binding.values():
+                        extended.append({**binding, arc.dep: dep})
+                elif bound == dep:
+                    extended.append(binding)
+        bindings = extended
+    return bindings
 
 
 def _rule(label, arcs, upos, slots):
@@ -230,7 +223,9 @@ DEFAULT_RULES: tuple[ExtractionRule, ...] = (
 def load_rules(source: TextSource) -> tuple[ExtractionRule, ...]:
     """Load a JSON rule file: a list of {label, arcs, upos, slots} objects.
 
-    Each arc is {"head": var, "dep": var, "rels": [deprel, ...]}.
+    Each arc is {"head": var, "dep": var, "rels": [deprel, ...]}; `upos`
+    maps arc variables to lists of UPOS tags, and `slots` lists variables.
+    A malformed entry raises FormatError with its 1-based number.
     """
     data = textio.load_json(source)
     if not isinstance(data, list):
@@ -238,10 +233,12 @@ def load_rules(source: TextSource) -> tuple[ExtractionRule, ...]:
     rules = []
     for i, entry in enumerate(data, start=1):
         try:
-            rules.append(_rule(entry["label"],
-                               [(a["head"], a["dep"], a["rels"]) for a in entry["arcs"]],
-                               entry.get("upos", {}),
-                               entry["slots"]))
-        except (KeyError, TypeError) as exc:
+            arcs = [(a["head"], a["dep"], a["rels"]) for a in entry["arcs"]]
+            upos, slots = entry.get("upos", {}), entry["slots"]
+            if not all(isinstance(names, list) and all(isinstance(n, str) for n in names)
+                       for names in [r for _, _, r in arcs] + [*upos.values(), slots]):
+                raise TypeError("rels, upos values and slots must be lists of strings")
+            rules.append(_rule(entry["label"], arcs, upos, slots))
+        except (KeyError, TypeError, AttributeError, FormatError) as exc:
             raise FormatError(f"bad rule entry: {exc}", i) from None
     return tuple(rules)

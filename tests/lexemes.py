@@ -1,8 +1,11 @@
-"""Hypothesis strategy for lexemes that the text formats must carry intact:
-any text without the tab, newline and carriage return that delimit rows
-and columns, including '#'-prefixed and non-ASCII words."""
+"""Hypothesis strategies: lexemes that the text formats must carry intact
+(any text without the tab, newline and carriage return that delimit rows
+and columns, including '#'-prefixed and non-ASCII words), files of rows of
+them, and valid dependency trees."""
 
 from hypothesis import strategies as st
+
+from mf import Sentence, Token
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",),
                               blacklist_characters="\t\n\r"), max_size=8)
@@ -24,3 +27,20 @@ def tsv_files(draw, row, max_size=8):
         rows.insert(0, draw(row.filter(lambda cols: not cols[0].startswith("#"))))
     comment = "# rows\n" if draw(st.booleans()) else ""
     return rows, comment + "".join("\t".join(r) + "\n" for r in rows)
+
+
+@st.composite
+def trees(draw, sid, lemmas="abc", upos=("X",), deprels=("amod", "obj", "nsubj"),
+          max_size=6):
+    """A valid sentence in any head order: its tokens are attached in a drawn
+    order, the first to the root and each other to one attached before it."""
+    n = draw(st.integers(1, max_size))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = {order[0]: 0}
+    for k in range(1, n):
+        heads[order[k]] = order[draw(st.integers(0, k - 1))]
+    tokens = [Token(i, f"w{i}", draw(st.sampled_from(lemmas)),
+                    draw(st.sampled_from(upos)), heads[i],
+                    draw(st.sampled_from(deprels)))
+              for i in range(1, n + 1)]
+    return Sentence(sid, tuple(tokens)).validate()

@@ -1,10 +1,15 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mf import DEFAULT_RULES, Proposition, extract_propositions, load_rules, parse_conllu
 from mf.errors import FormatError
-from mf.extraction import ExtractionRule, RuleArc, normalize_arcs
+from mf.extraction import ExtractionRule, RuleArc, _slot_lemma, normalize_arcs
+from mf.labels import label_roles
+from mf.store import Occurrence
+
+from .lexemes import trees
 
 CONTROL_CHAIN = """\
 # sent_id = school1
@@ -162,3 +167,153 @@ def test_default_inventory_labels():
     assert {r.label for r in DEFAULT_RULES} == {
         "NV", "VN", "NVV", "VPN", "NPN", "NVPN", "NVVPN", "NN", "AN",
         "AdvPN", "NVAdv"}
+
+
+NV_ENTRY = {"label": "NV", "arcs": [{"head": "v", "dep": "s", "rels": ["nsubj"]}],
+            "upos": {"v": ["VERB"], "s": ["NOUN"]}, "slots": ["s", "v"]}
+
+
+@pytest.mark.parametrize("change", [
+    {"arcs": [{"head": "v", "dep": "s", "rels": "nsubj"}]},
+    {"upos": {"v": "VERB"}},
+    {"upos": {"vv": ["NOUN"]}},
+    {"slots": "sv"},
+], ids=["rels-string", "upos-string", "upos-unknown-variable", "slots-string"])
+def test_load_rules_rejects_misread_entries(tmp_path, change):
+    # each of these once loaded: a string was read as the set or tuple of its
+    # characters, and a UPOS set on a variable no arc binds was ignored
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps([NV_ENTRY, {**NV_ENTRY, **change}]), encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_rules(path)
+    assert err.value.row == 2
+
+
+# The recursive backtracking matcher and fixpoint normalization that the
+# one-arc-at-a-time join and the one-pass xcomp walk replaced, kept as the
+# reference the properties below check them against.
+
+def _reference_normalize(sentence):
+    arcs = set()
+    for tok in sentence.tokens:
+        if tok.head == 0:
+            continue
+        rel = tok.deprel.lower()
+        base = rel.split(":")[0]
+        if base == "nsubj" and rel.endswith(":pass"):
+            arcs.add((tok.head, tok.index, "obj"))
+        elif base == "obl" and rel.endswith(":agent"):
+            arcs.add((tok.head, tok.index, "nsubj"))
+        else:
+            arcs.add((tok.head, tok.index, base))
+    changed = True
+    while changed:
+        changed = False
+        has_subj = {h for h, _, r in arcs if r == "nsubj"}
+        for head, dep, rel in sorted(arcs):
+            if rel != "xcomp" or dep in has_subj:
+                continue
+            for h2, subj, r2 in sorted(arcs):
+                if h2 == head and r2 == "nsubj":
+                    arcs.add((dep, subj, r2))
+                    changed = True
+    return arcs
+
+
+def _reference_match(rule, sentence, children):
+    def upos_ok(var, index):
+        allowed = rule.upos.get(var)
+        return not allowed or sentence.token_at(index).upos in allowed
+
+    def extend(arc_i, binding):
+        if arc_i == len(rule.arcs):
+            yield dict(binding)
+            return
+        arc = rule.arcs[arc_i]
+        for dep_idx, rel in children.get(binding[arc.head], ()):
+            if rel not in arc.rels or not upos_ok(arc.dep, dep_idx):
+                continue
+            if arc.dep in binding:
+                if binding[arc.dep] != dep_idx:
+                    continue
+                yield from extend(arc_i + 1, binding)
+            else:
+                if dep_idx in binding.values():
+                    continue
+                binding[arc.dep] = dep_idx
+                yield from extend(arc_i + 1, binding)
+                del binding[arc.dep]
+
+    for tok in sentence.tokens:
+        if upos_ok(rule.anchor, tok.index):
+            yield from extend(0, {rule.anchor: tok.index})
+
+
+def _reference_extract(sentence, rules):
+    children = {}
+    for head, dep, rel in _reference_normalize(sentence):
+        children.setdefault(head, []).append((dep, rel))
+    seen, results = set(), []
+    for rule in rules:
+        roles = label_roles(rule.label)
+        for binding in _reference_match(rule, sentence, children):
+            indices = tuple(binding[v] for v in rule.slots)
+            if (rule.label, indices) in seen:
+                continue
+            seen.add((rule.label, indices))
+            slots = tuple(_slot_lemma(sentence, idx, roles[i], children)
+                          for i, idx in enumerate(indices))
+            results.append(Occurrence(Proposition(rule.label, slots), sentence.id, indices))
+    results.sort(key=lambda occ: (occ.prop.label, occ.token_indices))
+    return results
+
+
+UPOS = ("VERB", "NOUN", "PROPN", "PRON", "ADP", "ADJ", "ADV", "DET")
+RELS = ("nsubj", "obj", "obl", "nmod", "xcomp", "ccomp", "case", "fixed",
+        "amod", "advmod", "compound")
+# xcomp and nsubj are drawn more often, so that subjects reach down xcomp
+# chains of two links and more
+SENTENCES = trees("s", upos=UPOS, max_size=8,
+                  deprels=RELS + ("nsubj:pass", "obl:agent", "root") + ("xcomp", "nsubj") * 4)
+THREE_LINK_CHAIN = parse_conllu([
+    "1\tJohn\tjohn\tPROPN\t_\t_\t2\tnsubj\t_\t_\n",
+    "2\ttried\ttry\tVERB\t_\t_\t0\troot\t_\t_\n",
+    "3\tstarting\tstart\tVERB\t_\t_\t2\txcomp\t_\t_\n",
+    "4\tplanning\tplan\tVERB\t_\t_\t3\txcomp\t_\t_\n",
+    "5\trun\trun\tVERB\t_\t_\t4\txcomp\t_\t_\n"])[0]
+LABELS = {2: "NV", 3: "NVV", 4: "NVPN", 5: "NVVPN"}
+
+
+@st.composite
+def rules(draw):
+    """A connected rule over up to five variables. An arc's dependent may be
+    a variable an earlier arc bound, and a UPOS set may be empty."""
+    variables = ["a"]
+    arcs = []
+    for _ in range(draw(st.integers(1, 4))):
+        head = draw(st.sampled_from(variables))
+        fresh = chr(ord("a") + len(variables))
+        dep = draw(st.sampled_from([v for v in variables if v != head] + [fresh]))
+        if dep == fresh:
+            variables.append(fresh)
+        rels = draw(st.frozensets(st.sampled_from(RELS), min_size=1, max_size=3))
+        arcs.append(RuleArc(head, dep, rels))
+    upos = draw(st.dictionaries(st.sampled_from(variables),
+                                st.frozensets(st.sampled_from(UPOS), max_size=3)))
+    slots = draw(st.permutations(variables))[:draw(st.integers(2, len(variables)))]
+    return ExtractionRule(LABELS[len(slots)], tuple(arcs), upos, tuple(slots))
+
+
+@settings(max_examples=500, deadline=None)
+@given(SENTENCES)
+@example(THREE_LINK_CHAIN)
+def test_default_rules_match_the_reference(sentence):
+    assert normalize_arcs(sentence) == _reference_normalize(sentence)
+    assert extract_propositions(sentence) == _reference_extract(sentence, DEFAULT_RULES)
+
+
+@settings(max_examples=500, deadline=None)
+@given(SENTENCES, st.lists(rules(), min_size=1, max_size=3))
+def test_generated_rules_match_the_reference(sentence, rule_list):
+    assert (extract_propositions(sentence, rule_list)
+            == _reference_extract(sentence, rule_list))

@@ -5,12 +5,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mf import (ExpansionTable, LMHit, Sentence, Token, expand_domain, find_lms,
+from mf import (ExpansionTable, LMHit, Sentence, expand_domain, find_lms,
                 load_expansion_table, parse_conllu, sample_hits)
 from mf.errors import FormatError
 
 from .corpusgen import an, _block
-from .lexemes import LEXEMES, tsv_files
+from .lexemes import LEXEMES, trees, tsv_files
 
 
 def _sentences(*blocks):
@@ -173,18 +173,6 @@ LEMMAS = "abc"
 
 
 @st.composite
-def trees(draw, sid):
-    """A valid sentence: token 1 is the root, every other token's head is
-    an earlier token, lemmas come from a small alphabet."""
-    n = draw(st.integers(1, 6))
-    tokens = [Token(i, f"w{i}", draw(st.sampled_from(LEMMAS)), "X",
-                    0 if i == 1 else draw(st.integers(1, i - 1)),
-                    draw(st.sampled_from(["amod", "obj", "nsubj"])))
-              for i in range(1, n + 1)]
-    return Sentence(sid, tuple(tokens)).validate()
-
-
-@st.composite
 def spec_lists(draw):
     """Specs whose sides may be empty or overlap, some of them repeated."""
     sides = st.frozensets(st.sampled_from(LEMMAS))
@@ -213,7 +201,8 @@ def _reference_hits(sentences, specs):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from(["s1", "s2", "s3"]).flatmap(trees), max_size=5),
+@given(st.lists(st.sampled_from(["s1", "s2", "s3"]).flatmap(
+           lambda sid: trees(sid, LEMMAS)), max_size=5),
        spec_lists())
 def test_find_lms_matches_brute_force(sentences, specs):
     # duplicate specs must give duplicate hits
