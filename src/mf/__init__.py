@@ -3,10 +3,9 @@ metaphor generation, and dependency-link retrieval of candidate
 linguistic metaphors."""
 
 from .conllu import Sentence, Token, iter_sentences, parse_conllu
-from .engine import (ConceptualMetaphor, SourceConcept, WeightedSource,
-                     WeightedTuple, build_cms, cluster_sources, filter_sources,
-                     generate_sources, rank_sources, salient_properties,
-                     tuple_weight)
+from .engine import (SourceConcept, WeightedSource, WeightedTuple, build_cms,
+                     cluster_sources, filter_sources, generate_sources,
+                     rank_sources, salient_properties, tuple_weight)
 from .extraction import (DEFAULT_RULES, ExtractionRule, RuleArc,
                          extract_propositions, load_rules)
 from .generalize import generalize_store
@@ -20,7 +19,7 @@ from .topics import TopicMatrix, load_topic_matrix
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConceptualMetaphor", "DEFAULT_RULES", "ExpansionTable", "ExtractionRule",
+    "DEFAULT_RULES", "ExpansionTable", "ExtractionRule",
     "GoldMapping", "GoldReport", "LMHit", "Occurrence", "PatternKey",
     "Proposition", "RuleArc", "Sentence", "SourceConcept", "Store", "Taxonomy",
     "TaxonomyNode", "Token", "TopicMatrix", "WeightedSource", "WeightedTuple",

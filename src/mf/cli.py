@@ -1,30 +1,33 @@
 """Command-line pipeline: extract, generalize, properties, sources, cms,
 find-lms, eval-gold.
 
-Each stage reads its predecessor's artifact from the work directory and
+Each stage reads its predecessors' artifacts from the work directory and
 writes its own, so re-running a stage on unchanged inputs is byte-identical:
 
-    store.tsv -> store.gen.tsv -> properties.<t>.tsv / sources.<t>.tsv
-              -> cms.<t>.json -> lms.<t>.jsonl        gold_report.txt
+    store.tsv -> store.gen.tsv -> properties.<t>.tsv
+                               -> sources.<t>.tsv
+                               -> cms.<t>.json -> lms.<t>.jsonl
+                               -> gold_report.txt
+
+The stages after generalize read store.gen.tsv (store.tsv under
+--no-generalize); cms ranks sources from the store, not sources.<t>.tsv.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import engine, generalize, gold as gold_mod, textio
 from .config import PipelineConfig, load_config
 from .conllu import iter_sentences
-from .errors import MFError
+from .errors import FormatError, MFError
 from .extraction import DEFAULT_RULES, extract_propositions, load_rules
 from .lm import expand_domain, find_lms, load_expansion_table, sample_hits
 from .store import Store, merge_stores
 from .taxonomy import load_taxonomy
 from .topics import load_topic_matrix
-
-SUBCOMMANDS = ("extract", "generalize", "properties", "sources", "cms",
-               "find-lms", "eval-gold")
 
 
 def _warn(message: str) -> None:
@@ -56,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="sampling seed")
         p.add_argument("--min-freq", type=int, dest="min_freq")
         p.add_argument("--per-pair", type=int, dest="per_pair")
-        p.add_argument("--no-generalize", action="store_true",
-                       help="use the raw store for downstream stages")
+        p.add_argument("--no-generalize", action="store_false", dest="generalize",
+                       default=None, help="use the raw store for downstream stages")
         return p
 
     p = common(sub.add_parser("extract", help="corpus -> proposition store"))
@@ -71,14 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
                             ("sources", "ranked candidate source lexemes"),
                             ("cms", "clustered conceptual metaphors")):
         p = common(sub.add_parser(name, help=help_text))
-        p.add_argument("--target", action="append", help="seed lexeme (repeatable)")
+        p.add_argument("--target", action="append", dest="targets", metavar="TARGET",
+                       help="seed lexeme (repeatable)")
         if name != "properties":
             p.add_argument("--topic-matrix", dest="topic_matrix")
         if name == "cms":
             p.add_argument("--taxonomy")
 
     p = common(sub.add_parser("find-lms", help="retrieve dependency-linked candidates"))
-    p.add_argument("--target", action="append")
+    p.add_argument("--target", action="append", dest="targets", metavar="TARGET")
     p.add_argument("--corpus", nargs="+")
     p.add_argument("--expansion-table", dest="expansion_table")
     p.add_argument("--sidecar", help="TSV sentence_id <TAB> text override")
@@ -92,21 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure(args) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if args.config:
-        cfg = load_config(_need(args.config, "config file"), cfg)
-    for key in ("workdir", "threshold", "k", "top_sources", "top_cms", "seed",
-                "min_freq", "per_pair", "rules", "taxonomy", "topic_matrix",
-                "expansion_table", "gold", "sidecar"):
-        value = getattr(args, key, None)
+    """The config file, if any, with every flag the command line set on top."""
+    cfg = (load_config(_need(args.config, "config file")) if args.config
+           else PipelineConfig())
+    for f in fields(PipelineConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "corpus", None):
-        cfg.corpus = tuple(args.corpus)
-    if getattr(args, "target", None):
-        cfg.targets = tuple(args.target)
-    if getattr(args, "no_generalize", False):
-        cfg.generalize = False
+            setattr(cfg, f.name, tuple(value) if isinstance(value, list) else value)
     return cfg.validate()
 
 
@@ -225,16 +221,14 @@ def cmd_cms(cfg: PipelineConfig) -> int:
         ranked = engine.rank_sources(target, store, tm, cfg.threshold,
                                      cfg.top_sources)
         concepts = engine.cluster_sources(ranked, tax, cfg.k)
-        cms = engine.build_cms({target}, concepts, cfg.top_cms)
         records = [{
-            "target": sorted(cm.target),
-            "source_node": cm.source.node,
+            "target": [target],
+            "source_node": c.node,
             "members": [{"lexeme": m.lexeme, "weight": m.weight}
-                        for m in sorted(cm.source.members,
-                                        key=lambda m: (-m.weight, m.lexeme))],
-            "patterns": sorted(p.text for p in cm.properties),
-            "weight": cm.weight,
-        } for cm in cms]
+                        for m in sorted(c.members, key=lambda m: (-m.weight, m.lexeme))],
+            "patterns": sorted(p.text for p in c.shared_patterns),
+            "weight": c.weight,
+        } for c in engine.build_cms(concepts, cfg.top_cms)]
         out = wd / f"cms.{target}.json"
         with textio.writer(out) as fh:
             json.dump(records, fh, indent=2, sort_keys=True)
@@ -246,8 +240,12 @@ def cmd_cms(cfg: PipelineConfig) -> int:
 def _load_sidecar(cfg: PipelineConfig) -> dict[str, str]:
     if not cfg.sidecar:
         return {}
-    return {cols[0]: "\t".join(cols[1:])
-            for _, cols in textio.rows(_need(cfg.sidecar, "sidecar"))}
+    texts = {}
+    for rowno, cols in textio.rows(_need(cfg.sidecar, "sidecar")):
+        if len(cols) < 2:
+            raise FormatError("expected sentence_id <TAB> text", rowno)
+        texts[cols[0]] = "\t".join(cols[1:])
+    return texts
 
 
 def cmd_find_lms(cfg: PipelineConfig) -> int:

@@ -52,13 +52,12 @@ def _parse_bool(value: str, key: str) -> bool:
     raise ConfigError(f"expected a boolean, got {value!r}", key)
 
 
-def load_config(source: TextSource, base: Optional[PipelineConfig] = None,
-                ) -> PipelineConfig:
+def load_config(source: TextSource) -> PipelineConfig:
     """Read key=value lines; '#' comments and blank lines are skipped.
 
     Unknown keys and malformed values raise ConfigError naming the field.
     """
-    cfg = base if base is not None else PipelineConfig()
+    cfg = PipelineConfig()
     known = {f.name for f in fields(PipelineConfig)}
     for lineno, line in enumerate(textio.lines(source), start=1):
         line = line.strip()

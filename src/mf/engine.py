@@ -11,7 +11,9 @@ metaphor transfers.
 Each ranking breaks ties by a fixed key, so results are identical across
 runs and schedules: salient properties by (weight desc, frequency desc,
 then the store's tuple and slot order), sources by (weight desc, evidence
-frequency desc, lexeme asc), concepts and CMs by (weight desc, node asc).
+frequency desc, lexeme asc), and source concepts by (weight desc, node
+asc). A conceptual metaphor is a source concept of the target's sources,
+so the best concepts are its CMs, in the same order.
 """
 
 from dataclasses import dataclass, field
@@ -42,14 +44,6 @@ class SourceConcept:
     node: str
     members: tuple[WeightedSource, ...]
     shared_patterns: frozenset[PatternKey]
-    weight: float
-
-
-@dataclass
-class ConceptualMetaphor:
-    target: frozenset[str]
-    source: SourceConcept
-    properties: frozenset[PatternKey]
     weight: float
 
 
@@ -146,47 +140,36 @@ def cluster_sources(sources: list[WeightedSource], tax: Taxonomy,
         for node in nodes:
             member_map.setdefault(node, []).append(src)
 
-    qualifying: dict[str, tuple[WeightedSource, ...]] = {}
+    qualifying: dict[str, SourceConcept] = {}
     for node, members in member_map.items():
-        patterns = set()
-        for m in members:
-            patterns |= set(m.evidence)
+        patterns = frozenset(p for m in members for p in m.evidence)
         if len(patterns) >= k:
-            qualifying[node] = tuple(members)
+            # left to right on every Python: since 3.12 the built-in sum
+            # compensates float rounding, which would move weights and tie order
+            weight = 0.0
+            for m in members:
+                weight += m.weight
+            qualifying[node] = SourceConcept(node, tuple(members), patterns, weight)
 
     # identical member sets: keep only nodes with no qualifying descendant
     by_members: dict[frozenset, list[str]] = {}
-    for node, members in qualifying.items():
-        by_members.setdefault(frozenset(m.lexeme for m in members), []).append(node)
-    kept: set[str] = set()
+    for node, concept in qualifying.items():
+        by_members.setdefault(frozenset(m.lexeme for m in concept.members),
+                              []).append(node)
+    concepts = []
     for nodes in by_members.values():
         for node in nodes:
             dominated = any(other != node and node in tax.ancestors(other, reflexive=False)
                             for other in nodes)
             if not dominated:
-                kept.add(node)
-
-    concepts = []
-    for node in kept:
-        members = qualifying[node]
-        patterns = frozenset(p for m in members for p in m.evidence)
-        # left to right on every Python: since 3.12 the built-in sum
-        # compensates float rounding, which would move weights and tie order
-        weight = 0.0
-        for m in members:
-            weight += m.weight
-        concepts.append(SourceConcept(node, members, patterns, weight))
+                concepts.append(qualifying[node])
     concepts.sort(key=lambda c: (-c.weight, c.node))
     return concepts
 
 
-def build_cms(target_lexemes: set[str], concepts: list[SourceConcept],
-              top_m: int) -> list[ConceptualMetaphor]:
-    """One conceptual metaphor per source concept, best top_m kept."""
+def build_cms(concepts: list[SourceConcept], top_m: int) -> list[SourceConcept]:
+    """The target's conceptual metaphors: its best top_m source concepts,
+    as cluster_sources ranked them."""
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
-    cms = [ConceptualMetaphor(frozenset(target_lexemes), c,
-                              frozenset(c.shared_patterns), c.weight)
-           for c in concepts if c.shared_patterns]
-    cms.sort(key=lambda cm: (-cm.weight, cm.source.node))
-    return cms[:top_m]
+    return concepts[:top_m]

@@ -85,10 +85,8 @@ def load_gold(source: TextSource) -> list[GoldMapping]:
 
 def eval_gold(gold: list[GoldMapping], store: Store,
               table: Optional[ExpansionTable] = None,
-              tm: Optional[TopicMatrix] = None,
-              threshold: float = 0.04,
-              top_sources: int = 100,
-              top_patterns: int = 10,
+              tm: Optional[TopicMatrix] = None, *,
+              threshold: float, top_sources: int, top_patterns: int,
               warn=None) -> GoldReport:
     """Check each gold mapping for a generated (target, source) pair."""
     results = []

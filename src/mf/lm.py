@@ -45,19 +45,18 @@ def load_expansion_table(source: TextSource) -> ExpansionTable:
 
 
 def expand_domain(seed: set[str], table: Optional[ExpansionTable],
-                  store: Optional[Store] = None, top_p: int = 0) -> set[str]:
+                  store: Store, top_p: int) -> set[str]:
     """Union of the seeds, their table expansions, and the content lexemes
     of each seed's top_p highest-weight store patterns."""
     out = set(seed)
     for lexeme in seed:
         if table is not None:
             out |= table.related(lexeme)
-        if store is not None and top_p > 0:
-            for wt in salient_properties(lexeme, store, top_p):
-                roles = label_roles(wt.prop.label)
-                for i, slot in enumerate(wt.prop.slots):
-                    if i != wt.position and roles[i] != ROLE_PREP:
-                        out.add(slot)
+        for wt in salient_properties(lexeme, store, top_p):
+            roles = label_roles(wt.prop.label)
+            for i, slot in enumerate(wt.prop.slots):
+                if i != wt.position and roles[i] != ROLE_PREP:
+                    out.add(slot)
     return out
 
 

@@ -5,9 +5,10 @@ text file, or an iterable of lines. A str holding a tab or a newline, or
 the empty str, is text rather than a path.
 
 Tabular files are read as rows of tab-separated columns. Blank lines are
-skipped, and a line starting with '#' is a comment only before the first
-data row, so lexemes such as '#metoo' survive a write and a read. JSON
-files are read whole, and malformed JSON is a FormatError naming the file.
+skipped, and a line starting with '#' is a comment only if it comes before
+the first data row and holds no tab, so lexemes such as '#metoo' survive a
+write and a read in any row. JSON files are read whole, and malformed JSON
+is a FormatError naming the file.
 
 Every writer picks gzip from a .gz suffix and writes to a temporary file
 beside the target that replaces it only once the write has succeeded, so a
@@ -59,7 +60,8 @@ def rows(source: TextSource) -> Iterator[tuple[int, list[str]]]:
     in_data = False
     for rowno, line in enumerate(lines(source), start=1):
         line = line.rstrip("\n")
-        if not line.strip() or (not in_data and line.startswith("#")):
+        if not line.strip() or (not in_data and line.startswith("#")
+                                and "\t" not in line):
             continue
         in_data = True
         yield rowno, line.split("\t")

@@ -20,11 +20,8 @@ LEXEMES = st.one_of(
 @st.composite
 def tsv_files(draw, row, max_size=8):
     """(rows, their tab-separated text), the text maybe opened by a comment
-    line. A line starting with '#' is a comment until the first data row,
-    so the first row does not start with '#'; the rows after it may."""
+    line. Any row may start with '#', the first one too."""
     rows = draw(st.lists(row, max_size=max_size))
-    if rows and rows[0][0].startswith("#"):
-        rows.insert(0, draw(row.filter(lambda cols: not cols[0].startswith("#"))))
     comment = "# rows\n" if draw(st.booleans()) else ""
     return rows, comment + "".join("\t".join(r) + "\n" for r in rows)
 

@@ -132,8 +132,7 @@ def test_c06_scale_invariance(corpus_store, taxonomy, topic_matrix):
             props = salient_properties("poverty", store, 50)
             sources = filter_sources(generate_sources("poverty", store),
                                      "poverty", topic_matrix, 0.04)
-            cms = build_cms({"poverty"},
-                            cluster_sources(sources, taxonomy, 5), 10)
+            cms = build_cms(cluster_sources(sources, taxonomy, 5), 10)
             return props, sources, cms
 
         base_props, base_sources, base_cms = full_run(corpus_store)
@@ -147,11 +146,11 @@ def test_c06_scale_invariance(corpus_store, taxonomy, topic_matrix):
             [s.lexeme for s in base_sources]
         for a, b in zip(base_sources, new_sources):
             assert abs(a.weight - b.weight) <= 1e-9
-        assert [cm.source.node for cm in new_cms] == \
-            [cm.source.node for cm in base_cms]
+        assert [cm.node for cm in new_cms] == \
+            [cm.node for cm in base_cms]
         for a, b in zip(base_cms, new_cms):
             assert abs(a.weight - b.weight) <= 1e-9
-            assert a.properties == b.properties
+            assert a.shared_patterns == b.shared_patterns
 
 
 def test_c07_end_to_end_pipeline(tmp_path):
@@ -207,7 +206,8 @@ def test_c09_gold_harness():
         gold = load_gold(gold_dir / "gold.tsv")
         store = Store.load(gold_dir / "gold_store.tsv")
         table = load_expansion_table(gold_dir / "gold_expansion.tsv")
-        report = eval_gold(gold, store, table)
+        report = eval_gold(gold, store, table, threshold=0.04, top_sources=100,
+                           top_patterns=10)
         assert report.summary == "found 10 of 13"
         by_name = {r.name: r for r in report.results}
         assert not by_name["Machines->People"].found

@@ -231,6 +231,22 @@ def test_find_lms_sidecar_overrides_text(workdir, tmp_path):
                               for r in overridden)
 
 
+def test_find_lms_sidecar_row_without_text_rejected(workdir, tmp_path, capsys):
+    corpus = FIXTURES / "poverty.conllu"
+    args = ["--workdir", workdir, "--no-generalize"]
+    run("extract", "--corpus", corpus, *args)
+    run("cms", "--target", "poverty",
+        "--topic-matrix", FIXTURES / "topics.tsv",
+        "--taxonomy", FIXTURES / "taxonomy.tsv", *args)
+    sidecar = tmp_path / "texts.tsv"
+    sidecar.write_text("s1\tsome text\ns2\n", encoding="utf-8")
+    code = run("find-lms", "--target", "poverty", "--corpus", corpus,
+               "--sidecar", sidecar, *args)
+    assert code == 2
+    assert "row 2: expected sentence_id <TAB> text" in capsys.readouterr().err
+    assert not (workdir / "lms.poverty.jsonl").exists()
+
+
 def test_eval_gold_cli(workdir, capsys):
     gold_dir = FIXTURES / "gold"
     workdir.mkdir(parents=True)

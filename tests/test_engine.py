@@ -2,10 +2,11 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mf import (PatternKey, Proposition, Store, TopicMatrix, WeightedSource,
-                build_cms, cluster_sources, filter_sources, generate_sources,
-                load_taxonomy, salient_properties, tuple_weight)
+from mf import (PatternKey, Proposition, Store, Taxonomy, TaxonomyNode, TopicMatrix,
+                WeightedSource, build_cms, cluster_sources, filter_sources,
+                generate_sources, load_taxonomy, salient_properties, tuple_weight)
 
 from .randstores import brute_force_sources, make_random_store
 
@@ -261,12 +262,50 @@ def test_build_cms():
     store = _store(*entries)
     sources = generate_sources("poverty", store)
     concepts = cluster_sources(sources, tax, k=5)
-    cms = build_cms({"poverty"}, concepts, top_m=10)
-    assert cms and cms[0].target == frozenset({"poverty"})
-    assert cms[0].weight == cms[0].source.weight
-    assert cms[0].properties == frozenset(cms[0].source.shared_patterns)
-    assert build_cms({"poverty"}, [], 10) == []
-    assert len(build_cms({"poverty"}, concepts * 3, 1)) == 1
+    assert concepts
+    assert build_cms(concepts, top_m=10) == concepts
+    assert build_cms(concepts * 3, 1) == concepts[:1]
+    assert build_cms([], 10) == []
+    with pytest.raises(ValueError):
+        build_cms(concepts, 0)
+
+
+@st.composite
+def stores_and_taxonomies(draw):
+    """A random store, and a random class taxonomy that files some of its
+    lexemes under one or two classes; each class's parents come before it."""
+    store = make_random_store(random.Random(draw(st.integers(0, 2**32 - 1))),
+                              max_tuples=60, vocab=12)
+    classes = [f"c{i}" for i in range(draw(st.integers(1, 6)))]
+    nodes = {c: TaxonomyNode(c, "class", frozenset(
+        draw(st.sets(st.sampled_from(classes[:i]), max_size=2)) if i else ()))
+        for i, c in enumerate(classes)}
+    lexicon = {}
+    for lexeme in sorted(store.lexemes()):
+        filed = draw(st.sets(st.sampled_from(classes), max_size=2))
+        if filed:
+            lexicon[lexeme] = filed
+    return store, Taxonomy(nodes, lexicon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stores_and_taxonomies(), st.integers(1, 4), st.integers(1, 4))
+def test_cluster_sources_is_the_cm_ranking(store_tax, k, top_m):
+    store, tax = store_tax
+    for lexeme in sorted(store.lexemes())[:3]:
+        concepts = cluster_sources(generate_sources(lexeme, store), tax, k)
+        for c in concepts:
+            assert len(c.shared_patterns) >= k
+            assert c.shared_patterns == {p for m in c.members for p in m.evidence}
+            weight = 0.0
+            for m in c.members:
+                weight += m.weight
+            assert c.weight == weight
+        nodes = [c.node for c in concepts]
+        assert len(set(nodes)) == len(nodes)
+        keys = [(-c.weight, c.node) for c in concepts]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert build_cms(concepts, top_m) == concepts[:top_m]
 
 
 def test_rankings_deterministic(corpus_store, taxonomy, topic_matrix):

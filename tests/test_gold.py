@@ -9,6 +9,9 @@ from mf.gold import GoldMapping
 
 from .lexemes import LEXEMES, tsv_files
 
+# the published stage parameters, the PipelineConfig defaults
+PARAMS = {"threshold": 0.04, "top_sources": 100, "top_patterns": 10}
+
 
 @pytest.fixture(scope="module")
 def gold_fixture(fixtures_dir):
@@ -45,7 +48,7 @@ def test_load_gold_bad_side():
 
 def test_eval_gold_counts(gold_fixture):
     gold, store, table = gold_fixture
-    report = eval_gold(gold, store, table)
+    report = eval_gold(gold, store, table, **PARAMS)
     assert report.evaluated == 13
     assert report.found == 10
     assert report.summary == "found 10 of 13"
@@ -53,7 +56,7 @@ def test_eval_gold_counts(gold_fixture):
 
 def test_eval_gold_designed_misses(gold_fixture):
     gold, store, table = gold_fixture
-    report = eval_gold(gold, store, table)
+    report = eval_gold(gold, store, table, **PARAMS)
     by_name = {r.name: r for r in report.results}
     assert not by_name["Machines->People"].found
     assert not by_name["Containers for Money->Investments"].found
@@ -63,7 +66,7 @@ def test_eval_gold_designed_misses(gold_fixture):
 
 def test_eval_gold_pair_details(gold_fixture):
     gold, store, table = gold_fixture
-    report = eval_gold(gold, store, table)
+    report = eval_gold(gold, store, table, **PARAMS)
     by_name = {r.name: r for r in report.results}
     pairs = {(p.target, p.source)
              for p in by_name["Fighting a War->Treating Illness"].pairs}
@@ -72,7 +75,7 @@ def test_eval_gold_pair_details(gold_fixture):
 
 def test_eval_gold_scaled_weights(gold_fixture):
     gold, store, table = gold_fixture
-    report = eval_gold(gold, store, table)
+    report = eval_gold(gold, store, table, **PARAMS)
     scaled = [p.scaled for r in report.results for p in r.pairs]
     raw = [p.weight for r in report.results for p in r.pairs]
     assert all(0.0 <= s <= 1.0 for s in scaled)
@@ -84,7 +87,7 @@ def test_eval_gold_scaled_weights(gold_fixture):
 def test_eval_gold_skips_empty_expansion(gold_fixture):
     _, store, table = gold_fixture
     warnings = []
-    report = eval_gold([GoldMapping("Empty->Empty")], store, table,
+    report = eval_gold([GoldMapping("Empty->Empty")], store, table, **PARAMS,
                        warn=warnings.append)
     assert report.results[0].skipped
     assert report.evaluated == 0
@@ -93,6 +96,6 @@ def test_eval_gold_skips_empty_expansion(gold_fixture):
 
 def test_render_lines(gold_fixture):
     gold, store, table = gold_fixture
-    text = eval_gold(gold, store, table).render()
+    text = eval_gold(gold, store, table, **PARAMS).render()
     assert text.endswith("found 10 of 13\n")
     assert "Machines->People: none" in text

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mf import (ExpansionTable, LMHit, Sentence, expand_domain, find_lms,
+from mf import (ExpansionTable, LMHit, Sentence, Store, expand_domain, find_lms,
                 load_expansion_table, parse_conllu, sample_hits)
 from mf.errors import FormatError
 
@@ -45,19 +45,20 @@ def test_expansion_table_reads_generated_rows(file):
 
 def test_expand_domain_contains_seed_and_table(fixtures_dir):
     table = load_expansion_table(fixtures_dir / "expansion.tsv")
-    expanded = expand_domain({"disease"}, table)
+    expanded = expand_domain({"disease"}, table, Store().freeze(), 10)
     assert expanded >= {"disease", "symptom", "illness", "sickness",
                         "medicine", "treatment", "cure", "doctor", "chronic"}
 
 
 def test_expand_domain_identity():
-    assert expand_domain({"a", "b"}, None, None, 0) == {"a", "b"}
-    assert expand_domain({"a", "b"}, ExpansionTable(), None, 0) == {"a", "b"}
+    empty = Store().freeze()
+    assert expand_domain({"a", "b"}, None, empty, 10) == {"a", "b"}
+    assert expand_domain({"a", "b"}, ExpansionTable(), empty, 10) == {"a", "b"}
 
 
 def test_expand_domain_deduplicates():
     table = ExpansionTable([("a", "r", "x"), ("b", "r", "x")])
-    assert expand_domain({"a", "b"}, table) == {"a", "b", "x"}
+    assert expand_domain({"a", "b"}, table, Store().freeze(), 10) == {"a", "b", "x"}
 
 
 def test_expand_domain_adds_pattern_content(corpus_store):
