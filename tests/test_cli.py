@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -271,6 +272,26 @@ def test_generalized_store_feeds_downstream(workdir):
     assert code == 0
     text = (workdir / "sources.poverty.tsv").read_text("utf-8")
     assert "wordnet_" in text  # co-filler nouns were rewritten to class ids
+
+
+def test_generalized_path_artifacts_match_digests(workdir):
+    # the default pipeline, through store.gen.tsv, kept byte for byte
+    corpus = FIXTURES / "poverty.conllu"
+    args = ["--workdir", workdir]
+    run("extract", "--corpus", corpus, *args)
+    run("generalize", "--taxonomy", FIXTURES / "taxonomy.tsv", *args)
+    run("sources", "--target", "poverty",
+        "--topic-matrix", FIXTURES / "topics.tsv", *args)
+    run("cms", "--target", "poverty",
+        "--topic-matrix", FIXTURES / "topics.tsv",
+        "--taxonomy", FIXTURES / "taxonomy.tsv", *args)
+    run("find-lms", "--target", "poverty", "--corpus", corpus,
+        "--expansion-table", FIXTURES / "expansion.tsv", *args)
+    for line in (EXPECTED / "generalized-fixture.sha256").read_text("utf-8").splitlines():
+        digest, name = line.split()
+        assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == digest, name
+    records = json.loads((workdir / "cms.poverty.json").read_text("utf-8"))
+    assert "wordnet_city" in {r["source_node"] for r in records}
 
 
 ENEMY_POVERTY = """\
