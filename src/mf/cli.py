@@ -125,9 +125,22 @@ def _workdir(cfg: PipelineConfig) -> Path:
 
 
 def _active_store(cfg: PipelineConfig) -> Store:
-    wd = _workdir(cfg)
-    name = "store.gen.tsv" if cfg.generalize else "store.tsv"
-    return Store.load(_need(str(wd / name), f"store artifact {name}"))
+    name = _store_name(cfg)
+    return Store.load(_need(str(_workdir(cfg) / name), f"store artifact {name}"))
+
+
+def _store_name(cfg: PipelineConfig) -> str:
+    return "store.gen.tsv" if cfg.generalize else "store.tsv"
+
+
+def _warn_if_missing(target: str, store: Store, cfg: PipelineConfig) -> bool:
+    """Warn when target is in no tuple of the active store; True if so."""
+    if store.tuples_containing(target):
+        return False
+    why = (": generalize rewrote the nouns the taxonomy maps into class ids, "
+           "and --no-generalize reads store.tsv") if cfg.generalize else ""
+    _warn(f"lexeme {target!r} not found in {_workdir(cfg) / _store_name(cfg)}{why}")
+    return True
 
 
 def _targets(cfg: PipelineConfig) -> tuple[str, ...]:
@@ -184,7 +197,7 @@ def cmd_properties(cfg: PipelineConfig) -> int:
         out = wd / f"properties.{target}.tsv"
         ranked = engine.salient_properties(target, store, top_n=None)
         if not ranked:
-            _warn(f"lexeme {target!r} not found in the store")
+            _warn_if_missing(target, store, cfg)
         with textio.writer(out) as fh:
             for wt in ranked:
                 fh.write(f"{wt.weight!r}\t{wt.frequency}\t{wt.position}\t"
@@ -200,7 +213,7 @@ def cmd_sources(cfg: PipelineConfig) -> int:
     for target in _targets(cfg):
         ranked = engine.rank_sources(target, store, tm, cfg.threshold,
                                      cfg.top_sources)
-        if not ranked:
+        if not ranked and not _warn_if_missing(target, store, cfg):
             _warn(f"no sources generated for {target!r}")
         out = wd / f"sources.{target}.tsv"
         with textio.writer(out) as fh:
@@ -220,6 +233,8 @@ def cmd_cms(cfg: PipelineConfig) -> int:
     for target in _targets(cfg):
         ranked = engine.rank_sources(target, store, tm, cfg.threshold,
                                      cfg.top_sources)
+        if not ranked:
+            _warn_if_missing(target, store, cfg)
         concepts = engine.cluster_sources(ranked, tax, cfg.k)
         records = [{
             "target": [target],

@@ -136,7 +136,7 @@ def cluster_sources(sources: list[WeightedSource], tax: Taxonomy,
         nodes: set[str] = set()
         for cls in map_noun(src.lexeme, tax):
             nodes |= {n for n in tax.ancestors(cls, reflexive=True)
-                      if tax.kind(n) == "class"}
+                      if tax.kinds[n] == "class"}
         for node in nodes:
             member_map.setdefault(node, []).append(src)
 

@@ -4,6 +4,7 @@ Ambiguous nouns fan out to every candidate class, and each copy carries
 the full original frequency.
 """
 
+import functools
 import itertools
 
 from .labels import noun_positions
@@ -17,15 +18,9 @@ def generalize_store(store: Store, tax: Taxonomy) -> Store:
     Nouns with no taxonomy candidates keep their original lexeme; identical
     rewritten tuples are merged with summed frequencies.
     """
-    mapping_cache: dict[str, tuple[str, ...]] = {}
-
+    @functools.cache
     def options(lexeme: str) -> tuple[str, ...]:
-        got = mapping_cache.get(lexeme)
-        if got is None:
-            classes = sorted(map_noun(lexeme, tax))
-            got = tuple(classes) if classes else (lexeme,)
-            mapping_cache[lexeme] = got
-        return got
+        return tuple(sorted(map_noun(lexeme, tax))) or (lexeme,)
 
     out = Store()
     for prop, freq in store:

@@ -12,9 +12,16 @@ it are tab-separated records:
 
 Lexical items and names are matched case-insensitively; underscores count
 as spaces, so "new_york" and "New York" are the same item.
+
+Checks that name their row: a row before any section header, a row with
+the wrong number of columns, a kind other than class or instance, a node
+listed again with another kind, a NAMES type other than given or surname,
+and a second PERSON row. Checks on the whole graph, which name the node:
+an edge, lexical item or PERSON class naming no node, a hypernym cycle,
+and an instance with no class above it.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from typing import Optional
 
 from . import textio
@@ -29,102 +36,95 @@ def _normalize(item: str) -> str:
     return " ".join(item.lower().replace("_", " ").split())
 
 
-@dataclass(frozen=True)
-class TaxonomyNode:
-    id: str
-    kind: str
-    parents: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        if self.kind not in (CLASS, INSTANCE):
-            raise FormatError(f"node {self.id}: kind must be class or instance")
-
-
-@dataclass
 class Taxonomy:
-    nodes: dict[str, TaxonomyNode] = field(default_factory=dict)
-    lexical_index: dict[str, set[str]] = field(default_factory=dict)
-    given_names: set[str] = field(default_factory=set)
-    surnames: set[str] = field(default_factory=set)
-    person_class: Optional[str] = None
+    """A hypernym graph of class and instance nodes, with the lexical items
+    and person names filed under its nodes.
 
-    def __post_init__(self):
-        self._multiword: dict[str, set[str]] = {}
-        for item in self.lexical_index:
-            words = item.split(" ")
-            if len(words) > 1:
-                for w in words:
-                    self._multiword.setdefault(w, set()).add(item)
+    kinds maps each node to "class" or "instance", parents each child to
+    its parent nodes, and lexicon each lexical item to its nodes; names
+    are the given names and surnames that map to the person class. Items
+    and names are normalized here, so a taxonomy built directly maps nouns
+    as a loaded one does.
+    """
+
+    def __init__(self, kinds: Mapping[str, str],
+                 parents: Mapping[str, Iterable[str]],
+                 lexicon: Mapping[str, Iterable[str]],
+                 names: Iterable[str] = (), person: Optional[str] = None):
+        self.kinds = dict(kinds)
+        for child, ps in parents.items():
+            for node in (child, *ps):
+                if node not in self.kinds:
+                    raise FormatError(f"edge to unknown node {node!r}")
+        self.parents = {n: frozenset(parents.get(n, ())) for n in self.kinds}
+        self.lexicon: dict[str, set[str]] = {}
+        for item, nodes in lexicon.items():
+            for node in nodes:
+                if node not in self.kinds:
+                    raise FormatError(f"LEXICON references unknown node {node!r}")
+                self.lexicon.setdefault(_normalize(item), set()).add(node)
+        # each word of a multiword item -> the items it occurs in
+        self.words: dict[str, set[str]] = {}
+        for item in self.lexicon:
+            if " " in item:
+                for w in item.split(" "):
+                    self.words.setdefault(w, set()).add(item)
+        if person is not None and person not in self.kinds:
+            raise FormatError(f"PERSON references unknown node {person!r}")
+        self.names = frozenset(map(_normalize, names))
+        self.person = person
         self._check_acyclic()
-        self._ancestor_cache: dict[str, frozenset[str]] = {}
+        for node, kind in self.kinds.items():
+            if kind == INSTANCE and not self.classes({node}):
+                raise FormatError(f"instance {node!r} has no class ancestor")
+        self._ancestors: dict[str, frozenset[str]] = {}
 
     def _check_acyclic(self):
         # depth-first with an explicit stack, so chains of any depth load:
         # state 1 while a node is on the walk's path, 2 once it is left
         state: dict[str, int] = {}
-        for root in self.nodes:
+        for root in self.kinds:
             stack = [(root, True)]
             while stack:
-                node_id, entering = stack.pop()
+                node, entering = stack.pop()
                 if not entering:
-                    state[node_id] = 2
-                elif node_id not in state:
-                    state[node_id] = 1
-                    stack.append((node_id, False))
-                    for parent in self.nodes[node_id].parents:
-                        if parent not in self.nodes:
-                            raise FormatError(f"edge to unknown node {parent!r}")
+                    state[node] = 2
+                elif node not in state:
+                    state[node] = 1
+                    stack.append((node, False))
+                    for parent in self.parents[node]:
                         if state.get(parent) == 1:
                             raise FormatError(f"hypernym cycle through {parent!r}")
                         stack.append((parent, True))
 
-    def kind(self, node_id: str) -> str:
-        return self.nodes[node_id].kind
-
-    def ancestors(self, node_id: str, reflexive: bool = True) -> frozenset[str]:
+    def ancestors(self, node: str, reflexive: bool = True) -> frozenset[str]:
         """Transitive closure over parent edges, optionally including self."""
-        cached = self._ancestor_cache.get(node_id)
+        cached = self._ancestors.get(node)
         if cached is None:
             out: set[str] = set()
-            stack = list(self.nodes[node_id].parents)
+            stack = list(self.parents[node])
             while stack:
                 cur = stack.pop()
                 if cur not in out:
                     out.add(cur)
-                    stack.extend(self.nodes[cur].parents)
-            cached = frozenset(out)
-            self._ancestor_cache[node_id] = cached
-        return cached | {node_id} if reflexive else cached
+                    stack.extend(self.parents[cur])
+            cached = self._ancestors[node] = frozenset(out)
+        return cached | {node} if reflexive else cached
 
-    def nearest_classes(self, node_id: str) -> set[str]:
-        """Walk up from an instance until class nodes are reached."""
-        node = self.nodes[node_id]
-        if node.kind == CLASS:
-            return {node_id}
-        out: set[str] = set()
-        frontier = set(node.parents)
-        seen: set[str] = set()
+    def classes(self, nodes: Iterable[str]) -> set[str]:
+        """The class nodes among nodes; if there are none, the nearest
+        classes above them, reached upward through instances only."""
+        frontier = set(nodes)
+        found = {n for n in frontier if self.kinds[n] == CLASS}
+        if found:
+            return found
+        seen = set(frontier)
         while frontier:
-            nxt: set[str] = set()
-            for cur in frontier:
-                if cur in seen:
-                    continue
-                seen.add(cur)
-                if self.nodes[cur].kind == CLASS:
-                    out.add(cur)
-                else:
-                    nxt |= set(self.nodes[cur].parents)
-            frontier = nxt
-        return out
-
-    def _to_classes(self, node_ids: set[str]) -> set[str]:
-        classes = {n for n in node_ids if self.nodes[n].kind == CLASS}
-        if classes:
-            return classes
-        out: set[str] = set()
-        for n in node_ids:
-            out |= self.nearest_classes(n)
-        return out
+            above = set().union(*(self.parents[n] for n in frontier)) - seen
+            seen |= above
+            frontier = {n for n in above if self.kinds[n] != CLASS}
+            found |= above - frontier
+        return found
 
 
 def map_noun(noun: str, tax: Taxonomy) -> set[str]:
@@ -137,31 +137,33 @@ def map_noun(noun: str, tax: Taxonomy) -> set[str]:
     original lexeme).
     """
     q = _normalize(noun)
-    if tax.person_class and (q in tax.given_names or q in tax.surnames):
-        return {tax.person_class}
-    if noun in tax.nodes:
+    if tax.person and q in tax.names:
+        return {tax.person}
+    if noun in tax.kinds:
         # generalized stores carry class ids in noun slots already
-        return tax._to_classes({noun})
-    nodes = set(tax.lexical_index.get(q, ()))
-    if not nodes:
-        for item in tax._multiword.get(q, ()):
-            nodes |= tax.lexical_index[item]
-    if not nodes:
-        return set()
-    return tax._to_classes(nodes)
+        return tax.classes({noun})
+    nodes = tax.lexicon.get(q) or set().union(
+        *(tax.lexicon[item] for item in tax.words.get(q, ())))
+    return tax.classes(nodes)
 
 
-_SECTIONS = {"NODES", "EDGES", "LEXICON", "NAMES", "PERSON"}
+# section name -> the shape of its rows
+_SECTIONS = {
+    "NODES": "id <TAB> class|instance",
+    "EDGES": "child <TAB> parent",
+    "LEXICON": "item <TAB> node",
+    "NAMES": "name <TAB> given|surname",
+    "PERSON": "one node id, in one row",
+}
 
 
 def load_taxonomy(source: TextSource) -> Taxonomy:
     """Read the sectioned taxonomy TSV described in the module docstring."""
     section = None
     kinds: dict[str, str] = {}
-    parents: dict[str, set[str]] = {}
-    lexicon: list[tuple[str, str]] = []
-    given: set[str] = set()
-    surnames: set[str] = set()
+    parents: dict[str, list[str]] = {}
+    lexicon: dict[str, list[str]] = {}
+    names: list[str] = []
     person: Optional[str] = None
 
     for rowno, cols in textio.rows(source):
@@ -171,42 +173,21 @@ def load_taxonomy(source: TextSource) -> Taxonomy:
             continue
         if section is None:
             raise FormatError("row before any section header", rowno)
+        if len(cols) != (1 if section == "PERSON" else 2) or (
+                section == "NODES" and cols[1] not in (CLASS, INSTANCE)) or (
+                section == "NAMES" and cols[1] not in ("given", "surname")) or (
+                section == "PERSON" and person is not None):
+            raise FormatError(f"{section} rows take: {_SECTIONS[section]}", rowno)
         if section == "NODES":
-            if len(cols) != 2:
-                raise FormatError("NODES rows take: id <TAB> kind", rowno)
-            kinds[cols[0]] = cols[1]
+            if kinds.setdefault(cols[0], cols[1]) != cols[1]:
+                raise FormatError(f"node {cols[0]!r} listed again as {cols[1]}",
+                                  rowno)
         elif section == "EDGES":
-            if len(cols) != 2:
-                raise FormatError("EDGES rows take: child <TAB> parent", rowno)
-            parents.setdefault(cols[0], set()).add(cols[1])
+            parents.setdefault(cols[0], []).append(cols[1])
         elif section == "LEXICON":
-            if len(cols) != 2:
-                raise FormatError("LEXICON rows take: item <TAB> node", rowno)
-            lexicon.append((cols[0], cols[1]))
+            lexicon.setdefault(cols[0], []).append(cols[1])
         elif section == "NAMES":
-            if len(cols) != 2 or cols[1] not in ("given", "surname"):
-                raise FormatError("NAMES rows take: name <TAB> given|surname", rowno)
-            (given if cols[1] == "given" else surnames).add(_normalize(cols[0]))
-        elif section == "PERSON":
+            names.append(cols[0])
+        else:
             person = cols[0]
-
-    nodes = {}
-    for node_id, kind in kinds.items():
-        nodes[node_id] = TaxonomyNode(node_id, kind,
-                                      frozenset(parents.get(node_id, ())))
-    for child in parents:
-        if child not in nodes:
-            raise FormatError(f"EDGES references unknown node {child!r}")
-    lexical_index: dict[str, set[str]] = {}
-    for item, node_id in lexicon:
-        if node_id not in nodes:
-            raise FormatError(f"LEXICON references unknown node {node_id!r}")
-        lexical_index.setdefault(_normalize(item), set()).add(node_id)
-    if person is not None and person not in nodes:
-        raise FormatError(f"PERSON references unknown node {person!r}")
-
-    tax = Taxonomy(nodes, lexical_index, given, surnames, person)
-    for node in nodes.values():
-        if node.kind == INSTANCE and not tax.nearest_classes(node.id):
-            raise FormatError(f"instance {node.id!r} has no class ancestor")
-    return tax
+    return Taxonomy(kinds, parents, lexicon, names, person)

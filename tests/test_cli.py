@@ -274,6 +274,24 @@ def test_generalized_store_feeds_downstream(workdir):
     assert "wordnet_" in text  # co-filler nouns were rewritten to class ids
 
 
+def test_target_missing_from_generalized_store_warns_once(workdir, capsys):
+    # "enemy" is in store.tsv, but generalize filed it under wordnet_enemy
+    run("extract", "--corpus", FIXTURES / "poverty.conllu", "--workdir", workdir)
+    run("generalize", "--taxonomy", FIXTURES / "taxonomy.tsv", "--workdir", workdir)
+    capsys.readouterr()
+    topics = ["--topic-matrix", FIXTURES / "topics.tsv"]
+    for stage, extra in [("properties", []), ("sources", topics),
+                         ("cms", [*topics, "--taxonomy", FIXTURES / "taxonomy.tsv"])]:
+        args = ["--target", "enemy", "--workdir", workdir, *extra]
+        assert run(stage, *args) == 0
+        err = capsys.readouterr().err
+        assert err == (f"warning: lexeme 'enemy' not found in {workdir / 'store.gen.tsv'}"
+                       ": generalize rewrote the nouns the taxonomy maps into class"
+                       " ids, and --no-generalize reads store.tsv\n"), stage
+        assert run(stage, *args, "--no-generalize") == 0
+        assert capsys.readouterr().err == "", stage
+
+
 def test_generalized_path_artifacts_match_digests(workdir):
     # the default pipeline, through store.gen.tsv, kept byte for byte
     corpus = FIXTURES / "poverty.conllu"

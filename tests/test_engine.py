@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mf import (PatternKey, Proposition, Store, Taxonomy, TaxonomyNode, TopicMatrix,
+from mf import (PatternKey, Proposition, Store, Taxonomy, TopicMatrix,
                 WeightedSource, build_cms, cluster_sources, filter_sources,
                 generate_sources, load_taxonomy, salient_properties, tuple_weight)
 
@@ -277,15 +277,14 @@ def stores_and_taxonomies(draw):
     store = make_random_store(random.Random(draw(st.integers(0, 2**32 - 1))),
                               max_tuples=60, vocab=12)
     classes = [f"c{i}" for i in range(draw(st.integers(1, 6)))]
-    nodes = {c: TaxonomyNode(c, "class", frozenset(
-        draw(st.sets(st.sampled_from(classes[:i]), max_size=2)) if i else ()))
-        for i, c in enumerate(classes)}
+    parents = {c: draw(st.sets(st.sampled_from(classes[:i]), max_size=2))
+               for i, c in enumerate(classes) if i}
     lexicon = {}
     for lexeme in sorted(store.lexemes()):
         filed = draw(st.sets(st.sampled_from(classes), max_size=2))
         if filed:
             lexicon[lexeme] = filed
-    return store, Taxonomy(nodes, lexicon)
+    return store, Taxonomy(dict.fromkeys(classes, "class"), parents, lexicon)
 
 
 @settings(max_examples=200, deadline=None)

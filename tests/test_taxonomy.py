@@ -1,9 +1,11 @@
 import io
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mf import load_taxonomy, map_noun
+from mf import Taxonomy, load_taxonomy, map_noun
 from mf.errors import FormatError
 
 from .lexemes import LEXEMES
@@ -44,7 +46,7 @@ def test_map_noun_returns_classes_only(taxonomy):
     for word in ("nirvana", "new york", "enemy", "john", "york",
                  "peter gabriel", "cancer"):
         for node in map_noun(word, taxonomy):
-            assert taxonomy.kind(node) == "class", (word, node)
+            assert taxonomy.kinds[node] == "class", (word, node)
 
 
 def test_node_id_recognized_for_generalized_slots(taxonomy):
@@ -85,8 +87,28 @@ def test_instance_without_class_ancestor_rejected():
 
 def test_bad_kind_rejected():
     text = "NODES\nx\tthing\n"
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as err:
         load_taxonomy(io.StringIO(text))
+    assert err.value.row == 2
+
+
+def test_node_listed_again_with_another_kind_rejected():
+    text = "NODES\nx\tclass\ny\tclass\nx\tclass\nx\tinstance\n"
+    with pytest.raises(FormatError, match="'x' listed again") as err:
+        load_taxonomy(io.StringIO(text))
+    assert err.value.row == 5
+
+
+@pytest.mark.parametrize("person, row", [
+    ("PERSON\nperson\nperson\n", 6),
+    ("PERSON\nperson\nPERSON\nthing\n", 7),
+    ("PERSON\nperson\tthing\n", 5),
+])
+def test_person_takes_one_node_in_one_row(person, row):
+    text = "NODES\nperson\tclass\nthing\tclass\n" + person
+    with pytest.raises(FormatError) as err:
+        load_taxonomy(io.StringIO(text))
+    assert err.value.row == row
 
 
 def test_lexicon_referencing_unknown_node_rejected():
@@ -129,6 +151,112 @@ def test_taxonomy_ancestors_are_the_transitive_closure(dag, rng):
             changed |= reached != closure[n]
             closure[n] = reached
     for n in kinds:
-        assert tax.kind(n) == kinds[n]
+        assert tax.kinds[n] == kinds[n]
         assert tax.ancestors(n, reflexive=False) == closure[n]
         assert tax.ancestors(n) == closure[n] | {n}
+
+
+# The noun-to-class mapping as it was written before Taxonomy owned it,
+# kept as the reference for map_noun: nodes carry their kind and parents,
+# and the lexicon and names are normalized by the caller.
+
+def _normalize(item):
+    return " ".join(item.lower().replace("_", " ").split())
+
+
+class _RefNode(NamedTuple):
+    kind: str
+    parents: frozenset
+
+
+@dataclass
+class _RefTaxonomy:
+    nodes: dict
+    lexical_index: dict
+    given_names: set
+    surnames: set
+    person_class: Optional[str]
+
+    def __post_init__(self):
+        self._multiword = {}
+        for item in self.lexical_index:
+            words = item.split(" ")
+            if len(words) > 1:
+                for w in words:
+                    self._multiword.setdefault(w, set()).add(item)
+
+    def nearest_classes(self, node_id):
+        node = self.nodes[node_id]
+        if node.kind == "class":
+            return {node_id}
+        out = set()
+        frontier = set(node.parents)
+        seen = set()
+        while frontier:
+            nxt = set()
+            for cur in frontier:
+                if cur in seen:
+                    continue
+                seen.add(cur)
+                if self.nodes[cur].kind == "class":
+                    out.add(cur)
+                else:
+                    nxt |= set(self.nodes[cur].parents)
+            frontier = nxt
+        return out
+
+    def _to_classes(self, node_ids):
+        classes = {n for n in node_ids if self.nodes[n].kind == "class"}
+        if classes:
+            return classes
+        out = set()
+        for n in node_ids:
+            out |= self.nearest_classes(n)
+        return out
+
+
+def _ref_map_noun(noun, tax):
+    q = _normalize(noun)
+    if tax.person_class and (q in tax.given_names or q in tax.surnames):
+        return {tax.person_class}
+    if noun in tax.nodes:
+        return tax._to_classes({noun})
+    nodes = set(tax.lexical_index.get(q, ()))
+    if not nodes:
+        for item in tax._multiword.get(q, ()):
+            nodes |= tax.lexical_index[item]
+    if not nodes:
+        return set()
+    return tax._to_classes(nodes)
+
+
+_WORDS = st.sampled_from(["new", "York", "times", "big", "Apple", "john"])
+_ITEMS = st.builds(lambda words, sep: sep.join(words),
+                   st.lists(_WORDS, min_size=1, max_size=3),
+                   st.sampled_from([" ", "_", "  "]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags(), st.data())
+def test_map_noun_matches_the_reference(dag, data):
+    kinds, parents = dag
+    ids = sorted(kinds)
+    lexicon = data.draw(st.dictionaries(
+        st.one_of(_ITEMS, st.sampled_from(ids)),
+        st.lists(st.sampled_from(ids), min_size=1, max_size=3), max_size=8))
+    names = data.draw(st.dictionaries(st.one_of(_ITEMS, st.sampled_from(ids)),
+                                      st.sampled_from(["given", "surname"]),
+                                      max_size=3))
+    person = data.draw(st.one_of(st.none(), st.sampled_from(ids)))
+    tax = Taxonomy(kinds, parents, lexicon, names, person)
+
+    index = {}
+    for item, nodes in lexicon.items():
+        index.setdefault(_normalize(item), set()).update(nodes)
+    ref = _RefTaxonomy(
+        {n: _RefNode(k, frozenset(parents[n])) for n, k in kinds.items()}, index,
+        {_normalize(n) for n, t in names.items() if t == "given"},
+        {_normalize(n) for n, t in names.items() if t == "surname"}, person)
+    words = {w for item in lexicon for w in _normalize(item).split(" ")}
+    for noun in [*ids, *lexicon, *words, *names, "qwzx"]:
+        assert map_noun(noun, tax) == _ref_map_noun(noun, ref), noun
