@@ -120,10 +120,12 @@ class Taxonomy:
             return found
         seen = set(frontier)
         while frontier:
-            above = set().union(*(self.parents[n] for n in frontier)) - seen
-            seen |= above
-            frontier = {n for n in above if self.kinds[n] != CLASS}
-            found |= above - frontier
+            above: set[str] = set()
+            for node in frontier:
+                for parent in self.parents[node] - seen:
+                    seen.add(parent)
+                    (found if self.kinds[parent] == CLASS else above).add(parent)
+            frontier = above
         return found
 
 
