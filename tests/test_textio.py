@@ -52,7 +52,7 @@ def _topic_view(tm):
     ("topics.tsv", load_topic_matrix, _topic_view),
     ("expansion.tsv", load_expansion_table, vars),
     ("gold/gold.tsv", load_gold, lambda mappings: mappings),
-    ("taxonomy.tsv", load_taxonomy, vars),
+    ("taxonomy.tsv", load_taxonomy, lambda tax: vars(tax)),
     ("rules.json", load_rules, lambda rules: rules),
     ("pipeline.cfg", load_config, vars),
 ])
