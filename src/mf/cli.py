@@ -324,6 +324,10 @@ def cmd_eval_gold(cfg: PipelineConfig) -> int:
     table = _load_table(cfg)
     tm = _load_tm(cfg)
     mappings = gold_mod.load_gold(_need(cfg.gold, "gold file"))
+    # gold targets only: source lexemes are only compared against, and the
+    # expansion table may still match them
+    for target in dict.fromkeys(t for m in mappings for t in sorted(m.targets)):
+        _warn_if_missing(target, store, cfg)
     report = gold_mod.eval_gold(
         mappings, store, table, tm,
         threshold=cfg.threshold, top_sources=cfg.top_sources,

@@ -3,11 +3,14 @@
 Only the ID, FORM, LEMMA, UPOS, HEAD and DEPREL columns are used.
 Multiword-token ranges (ID "1-2") and empty nodes (ID "1.1") are skipped.
 Lemmas are lower-cased on load; a "_" lemma falls back to the form.
-A sentence without a "# sent_id" comment is named "s<n>" after its
-position, prefixed with the file name ("a.conllu:s3") when read from a
-path, so sentences from different shards keep distinct ids.
+A "# sent_id = <id>" comment names the sentence below it; the key must be
+exactly "sent_id", so "# sent_id_orig = 7" is an ordinary comment. A
+sentence without one is named "s<n>" after its position, prefixed with
+the file name ("a.conllu:s3") when read from a path, so sentences from
+different shards keep distinct ids.
 """
 
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from . import textio
@@ -82,32 +85,20 @@ def iter_sentences(source: TextSource) -> Iterator[Sentence]:
     rows: list[Token] = []
     sent_id = None
     count = 0
-
-    def flush():
-        nonlocal rows, sent_id, count
-        if not rows:
-            sent_id = None
-            return None
-        count += 1
-        sent = Sentence(sent_id if sent_id is not None else f"{prefix}s{count}",
-                        tuple(rows))
-        rows = []
-        sent_id = None
-        return sent.validate()
-
-    for lineno, line in enumerate(textio.lines(source), start=1):
+    # the blank line chained after the input closes the last sentence
+    for lineno, line in enumerate(chain(textio.lines(source), ("",)), start=1):
         line = line.rstrip("\n").rstrip("\r")
         if not line.strip():
-            sent = flush()
-            if sent is not None:
-                yield sent
+            if rows:
+                count += 1
+                yield Sentence(sent_id or f"{prefix}s{count}", tuple(rows)).validate()
+                rows = []
+            sent_id = None
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("sent_id"):
-                _, _, value = body.partition("=")
-                if value.strip():
-                    sent_id = value.strip()
+            key, _, value = line[1:].partition("=")
+            if key.strip() == "sent_id" and value.strip():
+                sent_id = value.strip()
             continue
         cols = line.split("\t")
         if len(cols) != 10:
@@ -126,10 +117,6 @@ def iter_sentences(source: TextSource) -> Iterator[Sentence]:
             raise ConlluParseError(f"non-numeric HEAD {head!r}", lineno) from None
         lemma = lemma if lemma and lemma != "_" else form
         rows.append(Token(index, form, lemma.lower(), upos, head_idx, deprel))
-
-    sent = flush()
-    if sent is not None:
-        yield sent
 
 
 def parse_conllu(source: TextSource) -> list[Sentence]:

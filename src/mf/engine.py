@@ -19,7 +19,7 @@ so the best concepts are its CMs, in the same order.
 from dataclasses import dataclass, field
 
 from .store import PatternKey, Proposition, Store
-from .taxonomy import Taxonomy, map_noun
+from .taxonomy import CLASS, Taxonomy, map_noun
 from .topics import TopicMatrix
 
 
@@ -135,8 +135,7 @@ def cluster_sources(sources: list[WeightedSource], tax: Taxonomy,
     for src in sources:
         nodes: set[str] = set()
         for cls in map_noun(src.lexeme, tax):
-            nodes |= {n for n in tax.ancestors(cls, reflexive=True)
-                      if tax.kinds[n] == "class"}
+            nodes |= {n for n in tax.ancestors(cls) if tax.kinds[n] == CLASS}
         for node in nodes:
             member_map.setdefault(node, []).append(src)
 
@@ -159,7 +158,7 @@ def cluster_sources(sources: list[WeightedSource], tax: Taxonomy,
     concepts = []
     for nodes in by_members.values():
         for node in nodes:
-            dominated = any(other != node and node in tax.ancestors(other, reflexive=False)
+            dominated = any(other != node and node in tax.ancestors(other)
                             for other in nodes)
             if not dominated:
                 concepts.append(qualifying[node])

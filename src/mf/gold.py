@@ -13,7 +13,7 @@ from typing import Optional
 from . import textio
 from .engine import rank_sources
 from .errors import FormatError
-from .lm import ExpansionTable, expand_domain
+from .lm import expand_domain
 from .store import Store
 from .textio import TextSource
 from .topics import TopicMatrix
@@ -84,7 +84,7 @@ def load_gold(source: TextSource) -> list[GoldMapping]:
 
 
 def eval_gold(gold: list[GoldMapping], store: Store,
-              table: Optional[ExpansionTable] = None,
+              table: Optional[dict[str, set[str]]] = None,
               tm: Optional[TopicMatrix] = None, *,
               threshold: float, top_sources: int, top_patterns: int,
               warn=None) -> GoldReport:

@@ -3,9 +3,10 @@
 A hit is any sentence arc whose endpoint lemmas land in (targets x sources)
 of a conceptual metaphor, in either direction and under any dependency
 label; one pass checks every arc against all conceptual metaphors at once,
-and no metaphoricity judgment is made. Sampling caps hits per domain pair
-and is reproducible: groups and pools are sorted internally, so the result
-does not depend on input order or scheduling.
+and no metaphoricity judgment is made. The expansion table is a plain
+dict from a lexeme to the set of its related lexemes. Sampling caps hits
+per domain pair and is reproducible: groups and pools are sorted
+internally, so the result does not depend on input order or scheduling.
 """
 
 import random
@@ -20,38 +21,25 @@ from .store import Store
 from .textio import TextSource
 
 
-class ExpansionTable:
-    """Lexeme -> semantically related lexemes.
-
-    File format: TSV rows "lexeme <TAB> relation <TAB> related" (relation unused).
-    """
-
-    def __init__(self, rows: Iterable[tuple[str, str, str]] = ()):
-        self._related: dict[str, set[str]] = {}
-        for lexeme, _, related in rows:
-            self._related.setdefault(lexeme, set()).add(related)
-
-    def related(self, lexeme: str) -> set[str]:
-        return set(self._related.get(lexeme, ()))
-
-
-def load_expansion_table(source: TextSource) -> ExpansionTable:
-    rows = []
+def load_expansion_table(source: TextSource) -> dict[str, set[str]]:
+    """Read TSV rows "lexeme <TAB> relation <TAB> related" into a map from
+    each lexeme to its related lexemes; the relation is not used."""
+    table: dict[str, set[str]] = {}
     for rowno, cols in textio.rows(source):
         if len(cols) != 3:
             raise FormatError("expected lexeme <TAB> relation <TAB> related", rowno)
-        rows.append((cols[0], cols[1], cols[2]))
-    return ExpansionTable(rows)
+        table.setdefault(cols[0], set()).add(cols[2])
+    return table
 
 
-def expand_domain(seed: set[str], table: Optional[ExpansionTable],
+def expand_domain(seed: set[str], table: Optional[dict[str, set[str]]],
                   store: Store, top_p: int) -> set[str]:
-    """Union of the seeds, their table expansions, and the content lexemes
-    of each seed's top_p highest-weight store patterns."""
+    """Union of the seeds, their related lexemes in the table, and the
+    content lexemes of each seed's top_p highest-weight store patterns."""
     out = set(seed)
     for lexeme in seed:
         if table is not None:
-            out |= table.related(lexeme)
+            out.update(table.get(lexeme, ()))
         for wt in salient_properties(lexeme, store, top_p):
             roles = label_roles(wt.prop.label)
             for i, slot in enumerate(wt.prop.slots):

@@ -18,7 +18,8 @@ the wrong number of columns, a kind other than class or instance, a node
 listed again with another kind, a NAMES type other than given or surname,
 and a second PERSON row. Checks on the whole graph, which name the node:
 an edge, lexical item or PERSON class naming no node, a hypernym cycle,
-and an instance with no class above it.
+and an instance with no class above it. Each check is linear in the size
+of the graph, so chains of any depth load.
 """
 
 from collections.abc import Iterable, Mapping
@@ -74,8 +75,11 @@ class Taxonomy:
         self.names = frozenset(map(_normalize, names))
         self.person = person
         self._check_acyclic()
+        # the graph is acyclic, so every upward climb ends at a parentless
+        # node: an instance lacks a class above it exactly when it climbs
+        # through instances only to a parentless one, which is named here
         for node, kind in self.kinds.items():
-            if kind == INSTANCE and not self.classes({node}):
+            if kind == INSTANCE and not self.parents[node]:
                 raise FormatError(f"instance {node!r} has no class ancestor")
         self._ancestors: dict[str, frozenset[str]] = {}
 
@@ -97,11 +101,11 @@ class Taxonomy:
                             raise FormatError(f"hypernym cycle through {parent!r}")
                         stack.append((parent, True))
 
-    def ancestors(self, node: str, reflexive: bool = True) -> frozenset[str]:
-        """Transitive closure over parent edges, optionally including self."""
+    def ancestors(self, node: str) -> frozenset[str]:
+        """The node and every node above it over parent edges."""
         cached = self._ancestors.get(node)
         if cached is None:
-            out: set[str] = set()
+            out = {node}
             stack = list(self.parents[node])
             while stack:
                 cur = stack.pop()
@@ -109,7 +113,7 @@ class Taxonomy:
                     out.add(cur)
                     stack.extend(self.parents[cur])
             cached = self._ancestors[node] = frozenset(out)
-        return cached | {node} if reflexive else cached
+        return cached
 
     def classes(self, nodes: Iterable[str]) -> set[str]:
         """The class nodes among nodes; if there are none, the nearest

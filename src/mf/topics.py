@@ -69,6 +69,8 @@ def load_topic_matrix(source: TextSource) -> TopicMatrix:
                 topics = int(header[2:])
             except ValueError:
                 raise FormatError(f"bad topic count {header[2:]!r}", rowno) from None
+            if topics < 1:
+                raise FormatError(f"topic count must be >= 1, got {topics}", rowno)
             continue
         try:
             vec = array("d", map(float, cols[1:]))

@@ -157,6 +157,16 @@ def test_cli_import_needs_no_numpy():
     assert out == "False\n"
 
 
+def test_tracer_wraps_names_that_resolve():
+    # every mf name the benchmark's tracer wraps must still exist
+    tracer_dir = Path(__file__).parents[1] / "perfbench"
+    code = (f"import sys; sys.path.insert(0, {str(tracer_dir)!r}); import tracer; "
+            "print(tracer.install(tracer.Tracer()).__name__)")
+    out = subprocess.run([sys.executable, "-B", "-c", code], check=True,
+                         env=_child_env(), capture_output=True, text=True).stdout
+    assert out == "mf.cli\n"
+
+
 def test_artifacts_identical_across_processes(workdir, tmp_path):
     # hash randomization must not leak into float accumulation order
     corpus = FIXTURES / "poverty.conllu"
@@ -260,6 +270,20 @@ def test_eval_gold_cli(workdir, capsys):
     assert "found 10 of 13" in out
     assert (workdir / "gold_report.txt").read_text("utf-8").endswith(
         "found 10 of 13\n")
+
+
+def test_eval_gold_warns_for_missing_targets(workdir, tmp_path, capsys):
+    gold_dir = FIXTURES / "gold"
+    workdir.mkdir(parents=True)
+    shutil.copy(gold_dir / "gold_store.tsv", workdir / "store.tsv")
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("A\tT\tnowhere\nA\tS\tabsent\nB\tT\twar\nB\tS\tillness\n"
+                    "C\tT\tnowhere\nC\tT\tnever\nC\tS\tillness\n", encoding="utf-8")
+    code = run("eval-gold", "--gold", gold, "--workdir", workdir, "--no-generalize")
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split("'")[1] for line in err] == ["nowhere", "never"]
+    assert all(line.startswith("warning: lexeme ") for line in err)
 
 
 def test_generalized_store_feeds_downstream(workdir):

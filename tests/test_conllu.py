@@ -27,7 +27,9 @@ def test_minimal_block():
 
 
 def test_sent_id_comment_and_default_ids():
-    text = "# sent_id = abc\n" + TWO_TOKEN + "\n" + TWO_TOKEN
+    # the key is matched whole: "sent_id_orig" names nothing
+    text = ("# sent_id = abc\n# sent_idx = 8\n" + TWO_TOKEN
+            + "\n# sent_id_orig = 7\n" + TWO_TOKEN)
     sents = parse_conllu(text.splitlines(keepends=True))
     assert [s.id for s in sents] == ["abc", "s2"]
 

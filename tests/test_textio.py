@@ -50,7 +50,7 @@ def _topic_view(tm):
 @pytest.mark.parametrize("fixture, load, view", [
     ("gold/gold_store.tsv", Store.load, lambda store: store),
     ("topics.tsv", load_topic_matrix, _topic_view),
-    ("expansion.tsv", load_expansion_table, vars),
+    ("expansion.tsv", load_expansion_table, dict),
     ("gold/gold.tsv", load_gold, lambda mappings: mappings),
     ("taxonomy.tsv", load_taxonomy, lambda tax: vars(tax)),
     ("rules.json", load_rules, lambda rules: rules),

@@ -90,6 +90,13 @@ def test_negative_probability_rejected():
         assert err.value.row == 2
 
 
+@pytest.mark.parametrize("text", ["T=0\n", "T=0\nalpha\n", "T=-1\nalpha\t0.5\n"])
+def test_topic_count_below_one_refused_at_the_header(text):
+    with pytest.raises(FormatError, match="topic count must be >= 1") as err:
+        load_topic_matrix(io.StringIO(text))
+    assert err.value.row == 1
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda t: st.dictionaries(
     LEXEMES, st.lists(st.floats(0, 1), min_size=t, max_size=t), max_size=6)),
