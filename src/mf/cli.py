@@ -270,6 +270,7 @@ def cmd_find_lms(cfg: PipelineConfig) -> int:
     paths = _corpus_paths(cfg)
     sidecar = _load_sidecar(cfg)
     targets = _targets(cfg)
+    memo = {}  # each lexeme's expansion, shared by all targets and CMs
     specs = []
     for target in targets:
         name = f"cms.{target}.json"
@@ -286,8 +287,9 @@ def cmd_find_lms(cfg: PipelineConfig) -> int:
             if cm_target != [target]:
                 raise MFError(f"{cm_path}: a conceptual metaphor has target "
                               f"{cm_target!r}, expected {[target]!r}")
-        t_lexemes = expand_domain({target}, table, store, cfg.top_patterns)
-        specs += [(t_lexemes, expand_domain(members, table, store, cfg.top_patterns),
+        t_lexemes = expand_domain({target}, table, store, cfg.top_patterns, memo)
+        specs += [(t_lexemes,
+                   expand_domain(members, table, store, cfg.top_patterns, memo),
                    target, source_node) for _, source_node, members in cms]
     found = dict.fromkeys(targets, 0)
 

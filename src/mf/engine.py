@@ -16,6 +16,7 @@ asc). A conceptual metaphor is a source concept of the target's sources,
 so the best concepts are its CMs, in the same order.
 """
 
+import heapq
 from dataclasses import dataclass, field
 
 from .store import PatternKey, Proposition, Store
@@ -47,6 +48,10 @@ class SourceConcept:
     weight: float
 
 
+def _weight(freq: int, key: PatternKey, store: Store) -> float:
+    return freq / store.pattern_total(key)
+
+
 def tuple_weight(lexeme: str, prop: Proposition, position: int, store: Store) -> float:
     """Frequency of the tuple over the total of its blanked-slot pattern."""
     freq = store.freq(prop)
@@ -55,7 +60,7 @@ def tuple_weight(lexeme: str, prop: Proposition, position: int, store: Store) ->
     if not 0 <= position < len(prop.slots) or prop.slots[position] != lexeme:
         raise ValueError(
             f"lexeme {lexeme!r} does not fill slot {position} of {prop.text}")
-    return freq / store.pattern_total(prop.pattern(position))
+    return _weight(freq, prop.pattern(position), store)
 
 
 def salient_properties(lexeme: str, store: Store,
@@ -66,13 +71,15 @@ def salient_properties(lexeme: str, store: Store,
     """
     if top_n is not None and top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
-    scored = [
-        WeightedTuple(prop, i, tuple_weight(lexeme, prop, i, store), store.freq(prop))
-        for prop, i in store.tuples_containing(lexeme)
-    ]
-    # stable sort: ties keep the store's (tuple, position) order
-    scored.sort(key=lambda wt: (-wt.weight, -wt.frequency))
-    return scored if top_n is None else scored[:top_n]
+    # n, the store's (tuple, position) order, breaks ties, so no two keys
+    # ever compare their tuples
+    keyed = []
+    for n, (prop, i) in enumerate(store.tuples_containing(lexeme)):
+        freq = store.freq(prop)
+        keyed.append((-_weight(freq, prop.pattern(i), store), -freq, n, prop, i))
+    kept = sorted(keyed) if top_n is None else heapq.nsmallest(top_n, keyed)
+    return [WeightedTuple(prop, i, -weight, -freq)
+            for weight, freq, _, prop, i in kept]
 
 
 def generate_sources(lexeme: str, store: Store) -> list[WeightedSource]:
@@ -84,8 +91,8 @@ def generate_sources(lexeme: str, store: Store) -> list[WeightedSource]:
     """
     acc: dict[str, WeightedSource] = {}
     for prop, i in store.tuples_containing(lexeme):
-        wt = tuple_weight(lexeme, prop, i, store)
         key = prop.pattern(i)
+        wt = _weight(store.freq(prop), key, store)
         for other in store.tuples_matching(key):
             s = other.slots[i]
             if s == lexeme:

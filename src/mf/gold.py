@@ -90,9 +90,10 @@ def eval_gold(gold: list[GoldMapping], store: Store,
               warn=None) -> GoldReport:
     """Check each gold mapping for a generated (target, source) pair."""
     results = []
+    memo = {}
     for mapping in gold:
-        expanded_t = expand_domain(mapping.targets, table, store, top_patterns)
-        expanded_s = expand_domain(mapping.sources, table, store, top_patterns)
+        expanded_t = expand_domain(mapping.targets, table, store, top_patterns, memo)
+        expanded_s = expand_domain(mapping.sources, table, store, top_patterns, memo)
         if not expanded_t or not expanded_s:
             if warn is not None:
                 warn(f"{mapping.name}: empty expansion, skipped")

@@ -33,18 +33,27 @@ def load_expansion_table(source: TextSource) -> dict[str, set[str]]:
 
 
 def expand_domain(seed: set[str], table: Optional[dict[str, set[str]]],
-                  store: Store, top_p: int) -> set[str]:
+                  store: Store, top_p: int,
+                  memo: Optional[dict[str, frozenset[str]]] = None) -> set[str]:
     """Union of the seeds, their related lexemes in the table, and the
-    content lexemes of each seed's top_p highest-weight store patterns."""
+    content lexemes of each seed's top_p highest-weight store patterns.
+
+    `memo` keeps each lexeme's expansion: calls that share one memo must
+    share the table, store and top_p too, and then expand each lexeme once.
+    """
+    if memo is None:
+        memo = {}
     out = set(seed)
     for lexeme in seed:
-        if table is not None:
-            out.update(table.get(lexeme, ()))
-        for wt in salient_properties(lexeme, store, top_p):
-            roles = label_roles(wt.prop.label)
-            for i, slot in enumerate(wt.prop.slots):
-                if i != wt.position and roles[i] != ROLE_PREP:
-                    out.add(slot)
+        if lexeme not in memo:
+            related = set(table.get(lexeme, ())) if table is not None else set()
+            for wt in salient_properties(lexeme, store, top_p):
+                roles = label_roles(wt.prop.label)
+                for i, slot in enumerate(wt.prop.slots):
+                    if i != wt.position and roles[i] != ROLE_PREP:
+                        related.add(slot)
+            memo[lexeme] = frozenset(related)
+        out |= memo[lexeme]
     return out
 
 

@@ -8,6 +8,7 @@ in `Store.add`. The store counts identical tuples, then freezes into a
 read-only store; the first lexeme or pattern query builds its index.
 """
 
+import gc
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -27,8 +28,7 @@ class Proposition(NamedTuple):
         """Blank out the slot at `position`."""
         if not 0 <= position < len(self.slots):
             raise IndexError(f"no slot {position} in {self.text}")
-        return PatternKey(self.label, self.slots[:position] + (None,)
-                          + self.slots[position + 1:])
+        return _pattern_key(self.label, self.slots, position)
 
     @property
     def text(self) -> str:
@@ -47,6 +47,13 @@ class PatternKey(NamedTuple):
     def text(self) -> str:
         rendered = tuple(BLANK_TEXT if s is None else s for s in self.slots)
         return " ".join((self.label,) + rendered)
+
+
+def _pattern_key(label: str, slots: tuple[str, ...], position: int) -> PatternKey:
+    # tuple.__new__ skips the NamedTuple constructor's Python-level call,
+    # which the index build would otherwise pay once per slot of every tuple
+    return tuple.__new__(PatternKey, (label, slots[:position] + (None,)
+                                      + slots[position + 1:]))
 
 
 class Occurrence(NamedTuple):
@@ -124,18 +131,35 @@ class Store:
     def _index(self) -> _Index:
         if not self._frozen:
             raise StoreStateError("store must be frozen before queries")
+        # The index holds only strings, ints and tuples, so it makes no
+        # reference cycles. Built with the cyclic GC on, it sets off
+        # collections that walk its fresh containers again and again. Built
+        # with the GC off, one young-generation collection walks it once and
+        # moves it to the oldest generation; left to the automatic ones, it
+        # would be walked once per generation.
+        if not gc.isenabled():
+            return self._build_index()
+        gc.disable()
+        try:
+            index = self._build_index()
+        finally:
+            gc.enable()
+        gc.collect(1)
+        return index
+
+    def _build_index(self) -> _Index:
         by_lexeme: dict[str, list] = {}
-        by_pattern: dict[PatternKey, list] = {}
-        totals: dict[PatternKey, int] = {}
+        by_pattern: dict[PatternKey, list] = {}  # key -> [total, tuples...]
         for prop, freq in self:
-            for i, lexeme in enumerate(prop.slots):
+            label, slots = prop
+            for i, lexeme in enumerate(slots):
                 by_lexeme.setdefault(lexeme, []).append((prop, i))
-                key = prop.pattern(i)
-                by_pattern.setdefault(key, []).append(prop)
-                totals[key] = totals.get(key, 0) + freq
+                matching = by_pattern.setdefault(_pattern_key(label, slots, i), [0])
+                matching[0] += freq
+                matching.append(prop)
         return _Index({l: tuple(v) for l, v in by_lexeme.items()},
-                      {k: tuple(v) for k, v in by_pattern.items()},
-                      totals)
+                      {k: tuple(v[1:]) for k, v in by_pattern.items()},
+                      {k: v[0] for k, v in by_pattern.items()})
 
     # -- plain views (allowed in either state) ---------------------------
 

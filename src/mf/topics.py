@@ -16,16 +16,6 @@ from .errors import FormatError
 from .textio import TextSource, TextTarget
 
 
-def _vector_error(vec: array, topics: int) -> str | None:
-    """Why `vec` is not `topics` finite, non-negative probabilities, or
-    None when it is."""
-    if len(vec) != topics:
-        return f"expected {topics} probabilities, got {len(vec)}"
-    if not all(map(math.isfinite, vec)) or min(vec, default=0.0) < 0.0:
-        return "probabilities must be finite and non-negative"
-    return None
-
-
 class TopicMatrix:
     def __init__(self, topics: int, phi: Mapping[str, Iterable[float]]):
         if topics < 1:
@@ -33,11 +23,20 @@ class TopicMatrix:
         self.topics = topics
         self._phi: dict[str, array] = {}
         for word, values in phi.items():
-            vec = array("d", values)
-            error = _vector_error(vec, topics)
-            if error:
-                raise FormatError(f"{word!r}: {error}")
-            self._phi[word] = vec
+            try:
+                self._add(word, values)
+            except FormatError as exc:
+                raise FormatError(f"{word!r}: {exc}") from None
+
+    def _add(self, word: str, values: Iterable[float]) -> None:
+        """Keep `values` as the word's vector; FormatError unless they are
+        `topics` finite, non-negative probabilities."""
+        vec = array("d", values)
+        if len(vec) != self.topics:
+            raise FormatError(f"expected {self.topics} probabilities, got {len(vec)}")
+        if not all(map(math.isfinite, vec)) or min(vec, default=0.0) < 0.0:
+            raise FormatError("probabilities must be finite and non-negative")
+        self._phi[word] = vec
 
     def vocabulary(self) -> set[str]:
         return set(self._phi)
@@ -58,10 +57,9 @@ class TopicMatrix:
 
 
 def load_topic_matrix(source: TextSource) -> TopicMatrix:
-    topics = None
-    phi: dict[str, array] = {}
+    tm = None
     for rowno, cols in textio.rows(source):
-        if topics is None:
+        if tm is None:
             header = "\t".join(cols)
             if not header.startswith("T="):
                 raise FormatError("first row must be the header T=<count>", rowno)
@@ -71,18 +69,17 @@ def load_topic_matrix(source: TextSource) -> TopicMatrix:
                 raise FormatError(f"bad topic count {header[2:]!r}", rowno) from None
             if topics < 1:
                 raise FormatError(f"topic count must be >= 1, got {topics}", rowno)
+            tm = TopicMatrix(topics, {})
             continue
         try:
-            vec = array("d", map(float, cols[1:]))
+            tm._add(cols[0], map(float, cols[1:]))
+        except FormatError as exc:
+            raise FormatError(str(exc), rowno) from None
         except ValueError:
             raise FormatError("non-numeric probability", rowno) from None
-        error = _vector_error(vec, topics)
-        if error:
-            raise FormatError(error, rowno)
-        phi[cols[0]] = vec
-    if topics is None:
+    if tm is None:
         raise FormatError("missing T=<count> header")
-    return TopicMatrix(topics, phi)
+    return tm
 
 
 def save_topic_matrix(tm: TopicMatrix, target: TextTarget) -> None:

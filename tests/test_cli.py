@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mf import cli
+from mf import cli, lm
 from mf.cli import main
 
 from .corpusgen import FIXTURES
@@ -91,9 +91,9 @@ def test_generalize_stage(workdir):
 
 
 def test_write_path_builds_no_index(workdir, monkeypatch):
-    def no_index(self, position):
+    def no_index(self):
         raise AssertionError("extract and generalize must not index the store")
-    monkeypatch.setattr("mf.store.Proposition.pattern", no_index)
+    monkeypatch.setattr("mf.store.Store._build_index", no_index)
     assert run("extract", "--corpus", FIXTURES / "poverty.conllu",
                "--workdir", workdir) == 0
     assert run("generalize", "--taxonomy", FIXTURES / "taxonomy.tsv",
@@ -336,6 +336,38 @@ def test_generalized_path_artifacts_match_digests(workdir):
     assert "wordnet_city" in {r["source_node"] for r in records}
 
 
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the digests were made with Python 3.11, and gen.py's "
+                           "output on other versions is unchecked")
+@pytest.mark.parametrize("workload", ["metaphors", "retrieve"])
+def test_seed1_workload_artifacts_match_digests(workload, tmp_path):
+    # the seed-1 benchmark inputs, run stage by stage on the raw store the way
+    # perfbench/run.py does, kept byte for byte
+    gen = Path(__file__).parents[1] / "perfbench" / "gen.py"
+    inputs, wd = tmp_path / "in", tmp_path / "out"
+    described = subprocess.run(
+        [sys.executable, "-B", str(gen), "--workload", workload, "--seed", "1",
+         "--out", str(inputs)], check=True, capture_output=True, text=True).stdout
+    targets = [a for t in described.split("targets: ")[1].split()
+               for a in ("--target", t)]
+    args = ["--workdir", wd, "--no-generalize"]
+    topics = ["--topic-matrix", inputs / "topics.tsv"]
+    expansion = ["--expansion-table", inputs / "expansion.tsv"]
+    assert run("extract", "--corpus", inputs / "corpus.conllu", *args) == 0
+    assert run("cms", *targets, *topics, "--taxonomy", inputs / "taxonomy.tsv",
+               *args) == 0
+    if workload == "metaphors":
+        assert run("sources", *targets, *topics, *args) == 0
+        assert run("eval-gold", "--gold", inputs / "gold.tsv", *expansion, *topics,
+                   *args) == 0
+    else:
+        assert run("find-lms", *targets, "--corpus", inputs / "corpus.conllu",
+                   *expansion, *args) == 0
+    for line in (EXPECTED / f"{workload}-seed1.sha256").read_text("utf-8").splitlines():
+        digest, name = line.split()
+        assert hashlib.sha256((wd / name).read_bytes()).hexdigest() == digest, name
+
+
 ENEMY_POVERTY = """\
 1\tenemy\tenemy\tNOUN\t_\t_\t2\tcompound\t_\t_
 2\tpoverty\tpoverty\tNOUN\t_\t_\t0\troot\t_\t_
@@ -470,6 +502,27 @@ def test_find_lms_parses_each_shard_once(workdir, tmp_path, monkeypatch):
     assert run("find-lms", "--target", "poverty", "--target", "crime",
                "--corpus", *shards, *args) == 0
     assert sorted(map(str, parsed)) == sorted(map(str, shards))
+
+
+def test_find_lms_expands_each_lexeme_once(workdir, monkeypatch):
+    corpus = FIXTURES / "poverty.conllu"
+    args = ["--workdir", workdir, "--no-generalize"]
+    run("extract", "--corpus", corpus, *args)
+    run("cms", "--target", "poverty", "--topic-matrix", FIXTURES / "topics.tsv",
+        "--taxonomy", FIXTURES / "taxonomy.tsv", *args)
+    records = json.loads((workdir / "cms.poverty.json").read_text("utf-8"))
+    members = [m["lexeme"] for rec in records for m in rec["members"]]
+    assert len(set(members)) < len(members)  # some lexeme is in two CMs
+    expanded = []
+    salient_properties = lm.salient_properties
+
+    def counting(lexeme, *rest):
+        expanded.append(lexeme)
+        return salient_properties(lexeme, *rest)
+    monkeypatch.setattr(lm, "salient_properties", counting)
+    assert run("find-lms", "--target", "poverty", "--corpus", corpus,
+               "--expansion-table", FIXTURES / "expansion.tsv", *args) == 0
+    assert sorted(expanded) == sorted({"poverty", *members})
 
 
 def test_find_lms_rejects_cms_of_another_target(workdir, capsys):

@@ -8,6 +8,8 @@ from mf import (PatternKey, Proposition, Store, Taxonomy, TopicMatrix,
                 WeightedSource, build_cms, cluster_sources, filter_sources,
                 generate_sources, load_taxonomy, salient_properties, tuple_weight)
 
+from mf.labels import label_arity
+
 from .randstores import brute_force_sources, make_random_store
 
 
@@ -66,6 +68,26 @@ def test_salient_properties_truncation_and_singleton():
     ranked = salient_properties("poverty", store, 99)
     assert len(ranked) == 1 and ranked[0].weight == 1.0
     assert salient_properties("absent", store, 5) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["VN", "NV", "NPN"]),
+                          st.lists(st.sampled_from("abc"), min_size=3, max_size=3),
+                          st.integers(1, 3)), max_size=40),
+       st.sampled_from("abc"), st.integers(1, 12))
+def test_salient_properties_prefix_is_the_full_ranking(entries, lexeme, n):
+    # three words and frequencies up to 3 make tied weights common
+    store = Store()
+    for label, words, freq in entries:
+        store.add(Proposition(label, tuple(words[:label_arity(label)])), freq)
+    store.freeze()
+    full = salient_properties(lexeme, store, None)
+    # reference: a stable sort of the store's (tuple, position) order
+    reference = sorted(((prop, i, tuple_weight(lexeme, prop, i, store), store.freq(prop))
+                        for prop, i in store.tuples_containing(lexeme)),
+                       key=lambda r: (-r[2], -r[3]))
+    assert [(wt.prop, wt.position, wt.weight, wt.frequency) for wt in full] == reference
+    assert salient_properties(lexeme, store, n) == full[:n]
 
 
 def test_generate_sources_mixed_patterns():

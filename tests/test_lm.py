@@ -11,6 +11,7 @@ from mf.errors import FormatError
 
 from .corpusgen import an, _block
 from .lexemes import LEXEMES, trees, tsv_files
+from .randstores import make_random_store
 
 
 def _sentences(*blocks):
@@ -65,6 +66,20 @@ def test_expand_domain_adds_pattern_content(corpus_store):
     # top patterns contribute their content words but not prepositions
     assert expanded - {"poverty"}
     assert "in" not in expanded and "out of" not in expanded
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.lists(st.sets(st.sampled_from([f"w{i:02d}" for i in range(8)]), max_size=4),
+                max_size=6))
+def test_shared_expansion_memo_gives_the_fresh_sets(rng, seeds):
+    store = make_random_store(rng, max_tuples=40, vocab=8)
+    table = {"w00": {"x"}, "w01": {"w02", "y"}}
+    memo = {}
+    for seed in seeds:
+        assert expand_domain(seed, table, store, 2, memo) == \
+            expand_domain(seed, table, store, 2)
+    assert set(memo) == set().union(*seeds)
 
 
 def test_find_lms_amod_hit():
