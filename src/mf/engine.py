@@ -16,7 +16,6 @@ asc). A conceptual metaphor is a source concept of the target's sources,
 so the best concepts are its CMs, in the same order.
 """
 
-import heapq
 from dataclasses import dataclass, field
 
 from .store import PatternKey, Proposition, Store
@@ -77,9 +76,8 @@ def salient_properties(lexeme: str, store: Store,
     for n, (prop, i) in enumerate(store.tuples_containing(lexeme)):
         freq = store.freq(prop)
         keyed.append((-_weight(freq, prop.pattern(i), store), -freq, n, prop, i))
-    kept = sorted(keyed) if top_n is None else heapq.nsmallest(top_n, keyed)
     return [WeightedTuple(prop, i, -weight, -freq)
-            for weight, freq, _, prop, i in kept]
+            for weight, freq, _, prop, i in sorted(keyed)[:top_n]]
 
 
 def generate_sources(lexeme: str, store: Store) -> list[WeightedSource]:

@@ -8,7 +8,6 @@ in `Store.add`. The store counts identical tuples, then freezes into a
 read-only store; the first lexeme or pattern query builds its index.
 """
 
-import gc
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -131,23 +130,6 @@ class Store:
     def _index(self) -> _Index:
         if not self._frozen:
             raise StoreStateError("store must be frozen before queries")
-        # The index holds only strings, ints and tuples, so it makes no
-        # reference cycles. Built with the cyclic GC on, it sets off
-        # collections that walk its fresh containers again and again. Built
-        # with the GC off, one young-generation collection walks it once and
-        # moves it to the oldest generation; left to the automatic ones, it
-        # would be walked once per generation.
-        if not gc.isenabled():
-            return self._build_index()
-        gc.disable()
-        try:
-            index = self._build_index()
-        finally:
-            gc.enable()
-        gc.collect(1)
-        return index
-
-    def _build_index(self) -> _Index:
         by_lexeme: dict[str, list] = {}
         by_pattern: dict[PatternKey, list] = {}  # key -> [total, tuples...]
         for prop, freq in self:

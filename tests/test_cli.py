@@ -93,7 +93,7 @@ def test_generalize_stage(workdir):
 def test_write_path_builds_no_index(workdir, monkeypatch):
     def no_index(self):
         raise AssertionError("extract and generalize must not index the store")
-    monkeypatch.setattr("mf.store.Store._build_index", no_index)
+    monkeypatch.setattr("mf.store.Store._index", property(no_index))
     assert run("extract", "--corpus", FIXTURES / "poverty.conllu",
                "--workdir", workdir) == 0
     assert run("generalize", "--taxonomy", FIXTURES / "taxonomy.tsv",

@@ -1,4 +1,3 @@
-import gc
 import gzip
 import io
 import random
@@ -74,27 +73,6 @@ def test_lexeme_in_two_slots_yields_two_results():
     assert store.tuples_containing("war") == (
         (Proposition("NN", ("war", "war")), 0),
         (Proposition("NN", ("war", "war")), 1))
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("fails", [False, True])
-def test_index_build_restores_the_gc_state(enabled, fails, monkeypatch):
-    store = Store().add(vn("fight", "poverty")).freeze()
-    if fails:
-        def broken(self):
-            raise RuntimeError("index build failed")
-        monkeypatch.setattr(Store, "_build_index", broken)
-    was_enabled = gc.isenabled()
-    try:
-        gc.enable() if enabled else gc.disable()
-        if fails:
-            with pytest.raises(RuntimeError):
-                store.tuples_containing("poverty")
-        else:
-            assert store.tuples_containing("poverty")
-        assert gc.isenabled() is enabled
-    finally:
-        gc.enable() if was_enabled else gc.disable()
 
 
 def test_tuples_matching():
