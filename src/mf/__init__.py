@@ -2,7 +2,7 @@
 metaphor generation, and dependency-link retrieval of candidate
 linguistic metaphors."""
 
-from .conllu import Sentence, Token, iter_sentences, parse_conllu
+from .conllu import Sentence, Token, iter_sentences
 from .engine import (SourceConcept, WeightedSource, WeightedTuple, build_cms,
                      cluster_sources, filter_sources, generate_sources,
                      rank_sources, salient_properties, tuple_weight)
@@ -26,6 +26,6 @@ __all__ = [
     "extract_propositions", "filter_sources", "find_lms", "generalize_store",
     "generate_sources", "iter_sentences", "load_expansion_table", "load_gold",
     "load_rules", "load_taxonomy", "load_topic_matrix", "map_noun",
-    "merge_stores", "parse_conllu", "rank_sources", "salient_properties",
-    "sample_hits", "tuple_weight",
+    "merge_stores", "rank_sources", "salient_properties", "sample_hits",
+    "tuple_weight",
 ]

@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Iterable
 
 from . import engine, generalize, gold as gold_mod, textio
 from .config import PipelineConfig, load_config
@@ -133,20 +134,27 @@ def _store_name(cfg: PipelineConfig) -> str:
     return "store.gen.tsv" if cfg.generalize else "store.tsv"
 
 
-def _warn_if_missing(target: str, store: Store, cfg: PipelineConfig) -> bool:
-    """Warn when target is in no tuple of the active store; True if so."""
-    if store.tuples_containing(target):
-        return False
+def _warn_missing(targets: Iterable[str], store: Store, cfg: PipelineConfig) -> None:
+    """Warn once for each target that is in no tuple of the active store."""
     why = (": generalize rewrote the nouns the taxonomy maps into class ids, "
            "and --no-generalize reads store.tsv") if cfg.generalize else ""
-    _warn(f"lexeme {target!r} not found in {_workdir(cfg) / _store_name(cfg)}{why}")
-    return True
+    for target in targets:
+        if not store.tuples_containing(target):
+            _warn(f"lexeme {target!r} not found in "
+                  f"{_workdir(cfg) / _store_name(cfg)}{why}")
 
 
-def _targets(cfg: PipelineConfig) -> tuple[str, ...]:
+def _targets(cfg: PipelineConfig, store: Store) -> tuple[str, ...]:
+    """The configured targets, each once; warns for those the store lacks."""
     if not cfg.targets:
         raise MFError("no target lexemes (set targets= in the config or pass --target)")
-    return tuple(dict.fromkeys(cfg.targets))
+    targets = tuple(dict.fromkeys(cfg.targets))
+    for target in targets:
+        # each target names its artifacts, properties.<target>.tsv and so on
+        if not target or "/" in target or "\0" in target:
+            raise MFError(f"target {target!r} cannot be part of a file name")
+    _warn_missing(targets, store, cfg)
+    return targets
 
 
 def _load_tm(cfg: PipelineConfig):
@@ -193,11 +201,9 @@ def cmd_generalize(cfg: PipelineConfig) -> int:
 def cmd_properties(cfg: PipelineConfig) -> int:
     store = _active_store(cfg)
     wd = _workdir(cfg)
-    for target in _targets(cfg):
+    for target in _targets(cfg, store):
         out = wd / f"properties.{target}.tsv"
         ranked = engine.salient_properties(target, store, top_n=None)
-        if not ranked:
-            _warn_if_missing(target, store, cfg)
         with textio.writer(out) as fh:
             for wt in ranked:
                 fh.write(f"{wt.weight!r}\t{wt.frequency}\t{wt.position}\t"
@@ -210,10 +216,10 @@ def cmd_sources(cfg: PipelineConfig) -> int:
     store = _active_store(cfg)
     tm = _load_tm(cfg)
     wd = _workdir(cfg)
-    for target in _targets(cfg):
+    for target in _targets(cfg, store):
         ranked = engine.rank_sources(target, store, tm, cfg.threshold,
                                      cfg.top_sources)
-        if not ranked and not _warn_if_missing(target, store, cfg):
+        if not ranked and store.tuples_containing(target):
             _warn(f"no sources generated for {target!r}")
         out = wd / f"sources.{target}.tsv"
         with textio.writer(out) as fh:
@@ -230,11 +236,9 @@ def cmd_cms(cfg: PipelineConfig) -> int:
     tm = _load_tm(cfg)
     tax = load_taxonomy(_need(cfg.taxonomy, "taxonomy"))
     wd = _workdir(cfg)
-    for target in _targets(cfg):
+    for target in _targets(cfg, store):
         ranked = engine.rank_sources(target, store, tm, cfg.threshold,
                                      cfg.top_sources)
-        if not ranked:
-            _warn_if_missing(target, store, cfg)
         concepts = engine.cluster_sources(ranked, tax, cfg.k)
         records = [{
             "target": [target],
@@ -269,7 +273,7 @@ def cmd_find_lms(cfg: PipelineConfig) -> int:
     wd = _workdir(cfg)
     paths = _corpus_paths(cfg)
     sidecar = _load_sidecar(cfg)
-    targets = _targets(cfg)
+    targets = _targets(cfg, store)
     memo = {}  # each lexeme's expansion, shared by all targets and CMs
     specs = []
     for target in targets:
@@ -328,8 +332,8 @@ def cmd_eval_gold(cfg: PipelineConfig) -> int:
     mappings = gold_mod.load_gold(_need(cfg.gold, "gold file"))
     # gold targets only: source lexemes are only compared against, and the
     # expansion table may still match them
-    for target in dict.fromkeys(t for m in mappings for t in sorted(m.targets)):
-        _warn_if_missing(target, store, cfg)
+    _warn_missing(dict.fromkeys(t for m in mappings for t in sorted(m.targets)),
+                  store, cfg)
     report = gold_mod.eval_gold(
         mappings, store, table, tm,
         threshold=cfg.threshold, top_sources=cfg.top_sources,
@@ -359,7 +363,7 @@ def main(argv=None) -> int:
     try:
         cfg = _configure(args)
         return _HANDLERS[args.subcommand](cfg)
-    except MFError as exc:
+    except (MFError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,8 @@ class PipelineConfig:
                 raise ConfigError("must be strictly positive", key)
         if self.threshold < 0:
             raise ConfigError("must be >= 0", "threshold")
+        if not self.workdir:
+            raise ConfigError("must name a directory", "workdir")
         return self
 
 

@@ -74,7 +74,7 @@ class Sentence(NamedTuple):
 
 
 def iter_sentences(source: TextSource) -> Iterator[Sentence]:
-    """Stream sentences from CoNLL-U text, a path, or an open file.
+    """Stream sentences from a CoNLL-U path, an open file or its lines.
 
     Raises ConlluParseError for malformed lines (with line number) and
     SentenceStructureError for dangling heads, a root count other than
@@ -117,8 +117,3 @@ def iter_sentences(source: TextSource) -> Iterator[Sentence]:
             raise ConlluParseError(f"non-numeric HEAD {head!r}", lineno) from None
         lemma = lemma if lemma and lemma != "_" else form
         rows.append(Token(index, form, lemma.lower(), upos, head_idx, deprel))
-
-
-def parse_conllu(source: TextSource) -> list[Sentence]:
-    """Read an entire CoNLL-U stream into a list of validated sentences."""
-    return list(iter_sentences(source))

@@ -71,7 +71,7 @@ class _Index(NamedTuple):
 class Store:
     """Build-then-freeze collection of propositions with frequencies.
 
-    Mutation (add/merge) is only allowed before freeze(); lexeme and
+    Mutation (add, update) is only allowed before freeze(); lexeme and
     pattern queries only after. The first query builds the index; queries
     return tuples in identity order, so float sums over them are the same
     on every run. A frozen store is immutable and safe to share across
@@ -83,10 +83,6 @@ class Store:
         self._frozen = False
 
     # -- lifecycle -----------------------------------------------------
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     def _require_mutable(self):
         if self._frozen:
@@ -107,13 +103,6 @@ class Store:
     def update(self, occurrences: Iterable[Occurrence]) -> "Store":
         for occ in occurrences:
             self.add(occ.prop)
-        return self
-
-    def merge(self, other: "Store") -> "Store":
-        """Additive merge of another store (shard) into this one."""
-        self._require_mutable()
-        for prop, freq in other._counts.items():
-            self._counts[prop] = self._counts.get(prop, 0) + freq
         return self
 
     def freeze(self, min_freq: int = 1) -> "Store":
@@ -185,9 +174,9 @@ class Store:
     # -- persistence -------------------------------------------------------
 
     def save(self, target: TextTarget) -> None:
-        """Write TSV rows (label, slots..., frequency) sorted by identity.
-
-        Paths ending in .gz are written gzip-compressed.
+        """Write TSV rows (label, slots..., frequency), sorted by identity,
+        to a path; the file is replaced atomically, and a path ending in
+        .gz is written gzip-compressed.
         """
         with textio.writer(target) as fh:
             for prop, freq in self:
@@ -221,6 +210,8 @@ class Store:
 def merge_stores(stores: Iterable[Store]) -> Store:
     """Combine shard stores into one fresh unfrozen store."""
     merged = Store()
+    counts = merged._counts
     for shard in stores:
-        merged.merge(shard)
+        for prop, freq in shard._counts.items():
+            counts[prop] = counts.get(prop, 0) + freq
     return merged

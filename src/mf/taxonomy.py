@@ -23,6 +23,7 @@ of the graph, so chains of any depth load.
 """
 
 from collections.abc import Iterable, Mapping
+from graphlib import CycleError, TopologicalSorter
 from typing import Optional
 
 from . import textio
@@ -74,7 +75,10 @@ class Taxonomy:
             raise FormatError(f"PERSON references unknown node {person!r}")
         self.names = frozenset(map(_normalize, names))
         self.person = person
-        self._check_acyclic()
+        try:
+            TopologicalSorter(self.parents).prepare()
+        except CycleError as exc:
+            raise FormatError(f"hypernym cycle through {exc.args[1][0]!r}") from None
         # the graph is acyclic, so every upward climb ends at a parentless
         # node: an instance lacks a class above it exactly when it climbs
         # through instances only to a parentless one, which is named here
@@ -82,24 +86,6 @@ class Taxonomy:
             if kind == INSTANCE and not self.parents[node]:
                 raise FormatError(f"instance {node!r} has no class ancestor")
         self._ancestors: dict[str, frozenset[str]] = {}
-
-    def _check_acyclic(self):
-        # depth-first with an explicit stack, so chains of any depth load:
-        # state 1 while a node is on the walk's path, 2 once it is left
-        state: dict[str, int] = {}
-        for root in self.kinds:
-            stack = [(root, True)]
-            while stack:
-                node, entering = stack.pop()
-                if not entering:
-                    state[node] = 2
-                elif node not in state:
-                    state[node] = 1
-                    stack.append((node, False))
-                    for parent in self.parents[node]:
-                        if state.get(parent) == 1:
-                            raise FormatError(f"hypernym cycle through {parent!r}")
-                        stack.append((parent, True))
 
     def ancestors(self, node: str) -> frozenset[str]:
         """The node and every node above it over parent edges."""

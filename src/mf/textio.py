@@ -1,8 +1,9 @@
 """How mf reads and writes its text files.
 
-Every reader takes a path (gzip is detected by its magic bytes), an open
-text file, or an iterable of lines. A str holding a tab or a newline, or
-the empty str, is text rather than a path.
+Every reader takes a path, as a str or a Path (gzip is detected by its
+magic bytes), or lines: an open text file or any iterable of lines. A str
+is always a path. A path that is not UTF-8, or a gzip file that is
+truncated or corrupt, is a FormatError naming the path and the line.
 
 Tabular files are read as rows of tab-separated columns. Blank lines are
 skipped, and a line starting with '#' is a comment only if it comes before
@@ -10,15 +11,16 @@ the first data row and holds no tab, so lexemes such as '#metoo' survive a
 write and a read in any row. JSON files are read whole, and malformed JSON
 is a FormatError naming the file.
 
-Every writer picks gzip from a .gz suffix and writes to a temporary file
-beside the target that replaces it only once the write has succeeded, so a
-failed stage never leaves a half-written artifact behind.
+Every writer takes a path, picks gzip from a .gz suffix and writes to a
+temporary file beside the target that replaces it only once the write has
+succeeded, so a failed stage never leaves a half-written artifact behind.
 """
 
 import gzip
 import io
 import json
 import os
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Optional, Union
@@ -26,30 +28,47 @@ from typing import IO, Any, Iterable, Iterator, Optional, Union
 from .errors import FormatError
 
 TextSource = Union[str, Path, IO[str], Iterable[str]]
-TextTarget = Union[str, Path, IO[str]]
+TextTarget = Union[str, Path]
 
 _GZIP_MAGIC = b"\x1f\x8b"
+_UNREADABLE = (UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error)
 
 
 def as_path(source: TextSource) -> Optional[Path]:
-    """The file a source names, or None for text, open files and lines."""
-    if isinstance(source, str):
-        if source == "" or "\n" in source or "\t" in source:
-            return None
-        return Path(source)
-    return source if isinstance(source, Path) else None
+    """The file a source names, or None for open files and lines."""
+    return Path(source) if isinstance(source, (str, Path)) else None
 
 
 def lines(source: TextSource) -> Iterator[str]:
     """Stream the lines of a source, line endings kept."""
     path = as_path(source)
     if path is None:
-        yield from io.StringIO(source) if isinstance(source, str) else source
+        yield from source
         return
     with open(path, "rb") as raw:
-        compressed = raw.read(2) == _GZIP_MAGIC
-    with (gzip.open if compressed else open)(path, "rt", encoding="utf-8") as fh:
-        yield from fh
+        opener = gzip.open if raw.read(2) == _GZIP_MAGIC else open
+    try:
+        with opener(path, "rt", encoding="utf-8") as fh:
+            yield from fh
+    except _UNREADABLE as exc:
+        what = ("not UTF-8" if isinstance(exc, UnicodeDecodeError)
+                else f"truncated or corrupt gzip ({exc})")
+        raise FormatError(f"{path}: {what} at line "
+                          f"{_first_unreadable_line(path, opener)}") from None
+
+
+def _first_unreadable_line(path: Path, opener) -> int:
+    # the text reader decodes a buffer ahead, so it fails before it reaches
+    # the line at fault; reading line by line finds that line
+    read = 0
+    try:
+        with opener(path, "rb") as fh:
+            for raw in fh:
+                raw.decode("utf-8")
+                read += 1
+    except _UNREADABLE:
+        pass
+    return read + 1
 
 
 def rows(source: TextSource) -> Iterator[tuple[int, list[str]]]:
@@ -79,15 +98,11 @@ def load_json(source: TextSource) -> Any:
 
 @contextmanager
 def writer(target: TextTarget) -> Iterator[IO[str]]:
-    """Open a path for UTF-8 text writing, or pass an open file through.
-
-    A path is written gzip-compressed when it ends in .gz, and is replaced
-    atomically when the block exits without an exception; otherwise the
-    temporary file is removed and the earlier file is left as it was.
+    """Open a path for UTF-8 text writing, gzip-compressed when it ends in
+    .gz. The path is replaced atomically when the block exits without an
+    exception; otherwise the temporary file is removed and the earlier file
+    is left as it was.
     """
-    if not isinstance(target, (str, Path)):
-        yield target
-        return
     path = Path(target)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -10,9 +10,9 @@ from contextlib import contextmanager
 
 from mf import (Proposition, Store, TopicMatrix, build_cms, cluster_sources,
                 eval_gold, extract_propositions, filter_sources, find_lms,
-                generalize_store, generate_sources, load_expansion_table,
-                load_gold, load_taxonomy, parse_conllu, salient_properties,
-                sample_hits, tuple_weight)
+                generalize_store, generate_sources, iter_sentences,
+                load_expansion_table, load_gold, load_taxonomy,
+                salient_properties, sample_hits, tuple_weight)
 from mf.cli import main
 
 from .conftest import FIXTURES
@@ -41,7 +41,7 @@ CONTROL_CHAIN = """\
 
 def test_c01_control_chain_tuple_set():
     with budget("criterion 1 (six-tuple extraction)", 1.0):
-        sent = parse_conllu(CONTROL_CHAIN)[0]
+        sent = list(iter_sentences(CONTROL_CHAIN.splitlines(keepends=True)))[0]
         got = {occ.prop for occ in extract_propositions(sent)}
         expected = {
             Proposition("NV", ("john", "decide")),

@@ -1,9 +1,11 @@
+import gzip
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -71,6 +73,53 @@ def test_missing_corpus_fails_with_path(workdir, capsys):
     assert run("extract", "--corpus", "nowhere.conllu",
                "--workdir", workdir) == 2
     assert "nowhere.conllu" in capsys.readouterr().err
+
+
+def test_corpus_directory_fails_with_path(workdir, tmp_path, capsys):
+    assert run("extract", "--corpus", tmp_path, "--workdir", workdir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_non_utf8_corpus_names_path_and_line(workdir, tmp_path, capsys):
+    # line 901 lies buffers past the start, so the line is found exactly
+    rows = (FIXTURES / "poverty.conllu").read_bytes().split(b"\n")
+    rows[900] = rows[900].replace(b"\t", b"\xff\t", 1)
+    corpus = tmp_path / "latin1.conllu"
+    corpus.write_bytes(b"\n".join(rows))
+    assert run("extract", "--corpus", corpus, "--workdir", workdir) == 2
+    assert capsys.readouterr().err == f"error: {corpus}: not UTF-8 at line 901\n"
+
+
+def test_truncated_gzip_corpus_names_path_and_line(workdir, tmp_path, capsys):
+    packed = gzip.compress((FIXTURES / "poverty.conllu").read_bytes())
+    corpus = tmp_path / "cut.conllu.gz"
+    corpus.write_bytes(packed[:len(packed) // 2])
+    whole_lines = zlib.decompressobj(31).decompress(corpus.read_bytes()).count(b"\n")
+    assert run("extract", "--corpus", corpus, "--workdir", workdir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus}: truncated or corrupt gzip")
+    assert err.endswith(f" at line {whole_lines + 1}\n")
+    assert not (workdir / "store.tsv").exists()
+
+
+def test_empty_workdir_in_config_names_field(tmp_path, capsys):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("workdir =\n", encoding="utf-8")
+    assert run("extract", "--config", cfg, "--corpus",
+               FIXTURES / "poverty.conllu") == 2
+    assert capsys.readouterr().err == "error: workdir: must name a directory\n"
+
+
+@pytest.mark.parametrize("target", ["a/b", "", "a\0b"])
+def test_target_that_cannot_name_a_file_rejected(workdir, capsys, target):
+    run("extract", "--corpus", FIXTURES / "poverty.conllu", "--workdir", workdir)
+    capsys.readouterr()
+    assert run("properties", "--target", target, "--workdir", workdir,
+               "--no-generalize") == 2
+    assert capsys.readouterr().err == (f"error: target {target!r} cannot be "
+                                       "part of a file name\n")
+    assert sorted(os.listdir(workdir)) == ["store.tsv"]
 
 
 def test_config_violation_names_field(workdir, tmp_path, capsys):
@@ -305,7 +354,8 @@ def test_target_missing_from_generalized_store_warns_once(workdir, capsys):
     capsys.readouterr()
     topics = ["--topic-matrix", FIXTURES / "topics.tsv"]
     for stage, extra in [("properties", []), ("sources", topics),
-                         ("cms", [*topics, "--taxonomy", FIXTURES / "taxonomy.tsv"])]:
+                         ("cms", [*topics, "--taxonomy", FIXTURES / "taxonomy.tsv"]),
+                         ("find-lms", ["--corpus", FIXTURES / "poverty.conllu"])]:
         args = ["--target", "enemy", "--workdir", workdir, *extra]
         assert run(stage, *args) == 0
         err = capsys.readouterr().err
@@ -339,30 +389,37 @@ def test_generalized_path_artifacts_match_digests(workdir):
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                     reason="the digests were made with Python 3.11, and gen.py's "
                            "output on other versions is unchecked")
-@pytest.mark.parametrize("workload", ["metaphors", "retrieve"])
+@pytest.mark.parametrize("workload", ["build", "metaphors", "retrieve"])
 def test_seed1_workload_artifacts_match_digests(workload, tmp_path):
-    # the seed-1 benchmark inputs, run stage by stage on the raw store the way
-    # perfbench/run.py does, kept byte for byte
+    # the seed-1 benchmark inputs, run stage by stage the way perfbench/run.py
+    # does, kept byte for byte: build extracts the four shards and generalizes,
+    # the others run on the raw store
     gen = Path(__file__).parents[1] / "perfbench" / "gen.py"
     inputs, wd = tmp_path / "in", tmp_path / "out"
     described = subprocess.run(
         [sys.executable, "-B", str(gen), "--workload", workload, "--seed", "1",
          "--out", str(inputs)], check=True, capture_output=True, text=True).stdout
-    targets = [a for t in described.split("targets: ")[1].split()
-               for a in ("--target", t)]
-    args = ["--workdir", wd, "--no-generalize"]
-    topics = ["--topic-matrix", inputs / "topics.tsv"]
-    expansion = ["--expansion-table", inputs / "expansion.tsv"]
-    assert run("extract", "--corpus", inputs / "corpus.conllu", *args) == 0
-    assert run("cms", *targets, *topics, "--taxonomy", inputs / "taxonomy.tsv",
-               *args) == 0
-    if workload == "metaphors":
-        assert run("sources", *targets, *topics, *args) == 0
-        assert run("eval-gold", "--gold", inputs / "gold.tsv", *expansion, *topics,
-                   *args) == 0
+    if workload == "build":
+        shards = [inputs / f"corpus.{i}.conllu" for i in range(4)]
+        assert run("extract", "--corpus", *shards, "--workdir", wd) == 0
+        assert run("generalize", "--taxonomy", inputs / "taxonomy.tsv",
+                   "--workdir", wd) == 0
     else:
-        assert run("find-lms", *targets, "--corpus", inputs / "corpus.conllu",
-                   *expansion, *args) == 0
+        targets = [a for t in described.split("targets: ")[1].split()
+                   for a in ("--target", t)]
+        args = ["--workdir", wd, "--no-generalize"]
+        topics = ["--topic-matrix", inputs / "topics.tsv"]
+        expansion = ["--expansion-table", inputs / "expansion.tsv"]
+        assert run("extract", "--corpus", inputs / "corpus.conllu", *args) == 0
+        assert run("cms", *targets, *topics, "--taxonomy", inputs / "taxonomy.tsv",
+                   *args) == 0
+        if workload == "metaphors":
+            assert run("sources", *targets, *topics, *args) == 0
+            assert run("eval-gold", "--gold", inputs / "gold.tsv", *expansion, *topics,
+                       *args) == 0
+        else:
+            assert run("find-lms", *targets, "--corpus", inputs / "corpus.conllu",
+                       *expansion, *args) == 0
     for line in (EXPECTED / f"{workload}-seed1.sha256").read_text("utf-8").splitlines():
         digest, name = line.split()
         assert hashlib.sha256((wd / name).read_bytes()).hexdigest() == digest, name

@@ -2,7 +2,7 @@ import gzip
 
 import pytest
 
-from mf import parse_conllu
+from mf import iter_sentences
 from mf.errors import ConlluParseError, SentenceStructureError
 
 TWO_TOKEN = """\
@@ -12,12 +12,11 @@ TWO_TOKEN = """\
 
 
 def test_empty_input():
-    assert parse_conllu([]) == []
-    assert parse_conllu("") == []
+    assert list(iter_sentences([])) == []
 
 
 def test_minimal_block():
-    sents = parse_conllu(TWO_TOKEN.splitlines(keepends=True))
+    sents = list(iter_sentences(TWO_TOKEN.splitlines(keepends=True)))
     assert len(sents) == 1
     sent = sents[0]
     assert len(sent.tokens) == 2
@@ -30,14 +29,14 @@ def test_sent_id_comment_and_default_ids():
     # the key is matched whole: "sent_id_orig" names nothing
     text = ("# sent_id = abc\n# sent_idx = 8\n" + TWO_TOKEN
             + "\n# sent_id_orig = 7\n" + TWO_TOKEN)
-    sents = parse_conllu(text.splitlines(keepends=True))
+    sents = list(iter_sentences(text.splitlines(keepends=True)))
     assert [s.id for s in sents] == ["abc", "s2"]
 
 
 def test_lemma_lowercased_and_form_fallback():
     text = ("1\tJohn\tJohn\tPROPN\t_\t_\t2\tnsubj\t_\t_\n"
             "2\tRuns\t_\tVERB\t_\t_\t0\troot\t_\t_\n")
-    sent = parse_conllu(text.splitlines(keepends=True))[0]
+    sent = list(iter_sentences(text.splitlines(keepends=True)))[0]
     assert sent.tokens[0].lemma == "john"
     assert sent.tokens[1].lemma == "runs"  # LEMMA "_" falls back to FORM
 
@@ -48,20 +47,20 @@ def test_multiword_ranges_and_empty_nodes_skipped():
             "2\tel\tel\tDET\t_\t_\t3\tdet\t_\t_\n"
             "2.1\tnada\tnada\tNOUN\t_\t_\t_\t_\t_\t_\n"
             "3\tcampo\tcampo\tNOUN\t_\t_\t0\troot\t_\t_\n")
-    sent = parse_conllu(text.splitlines(keepends=True))[0]
+    sent = list(iter_sentences(text.splitlines(keepends=True)))[0]
     assert [t.index for t in sent.tokens] == [1, 2, 3]
 
 
 def test_wrong_column_count_reports_line():
     with pytest.raises(ConlluParseError) as err:
-        parse_conllu(["1\tx\tx\tNOUN\t0\troot\n"])
+        list(iter_sentences(["1\tx\tx\tNOUN\t0\troot\n"]))
     assert err.value.line == 1
 
 
 def test_non_numeric_head_reports_line():
     bad = TWO_TOKEN.replace("\t1\tobj", "\tQ\tobj")
     with pytest.raises(ConlluParseError) as err:
-        parse_conllu(bad.splitlines(keepends=True))
+        list(iter_sentences(bad.splitlines(keepends=True)))
     assert err.value.line == 2
 
 
@@ -72,7 +71,7 @@ def test_dangling_head_reports_sentence():
             "3\tc\tc\tNOUN\t_\t_\t9\tobj\t_\t_\n"
             "4\td\td\tNOUN\t_\t_\t2\tobj\t_\t_\n")
     with pytest.raises(SentenceStructureError) as err:
-        parse_conllu(text.splitlines(keepends=True))
+        list(iter_sentences(text.splitlines(keepends=True)))
     assert err.value.sentence_id == "bad1"
 
 
@@ -80,7 +79,7 @@ def test_self_loop_rejected():
     bad = TWO_TOKEN.replace("2\tpoverty\tpoverty\tNOUN\t_\t_\t1",
                             "2\tpoverty\tpoverty\tNOUN\t_\t_\t2")
     with pytest.raises(SentenceStructureError):
-        parse_conllu(bad.splitlines(keepends=True))
+        list(iter_sentences(bad.splitlines(keepends=True)))
 
 
 
@@ -93,14 +92,14 @@ def test_single_root_reached_by_every_token(heads, message):
         f"{i}\tw{i}\tw{i}\tNOUN\t_\t_\t{h}\tdep\t_\t_\n"
         for i, h in enumerate(heads, start=1))
     with pytest.raises(SentenceStructureError, match=message) as err:
-        parse_conllu(text.splitlines(keepends=True))
+        list(iter_sentences(text.splitlines(keepends=True)))
     assert err.value.sentence_id == "tree1"
 
 def test_gzip_transparent(tmp_path):
     path = tmp_path / "corpus.conllu.gz"
     with gzip.open(path, "wt", encoding="utf-8") as fh:
         fh.write(TWO_TOKEN)
-    sents = parse_conllu(path)
+    sents = list(iter_sentences(path))
     assert len(sents) == 1 and len(sents[0].tokens) == 2
 
 

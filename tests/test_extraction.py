@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mf import DEFAULT_RULES, Proposition, extract_propositions, load_rules, parse_conllu
+from mf import DEFAULT_RULES, Proposition, extract_propositions, iter_sentences, load_rules
 from mf.errors import FormatError
 from mf.extraction import ExtractionRule, RuleArc, _slot_lemma, normalize_arcs
 from mf.labels import label_roles
@@ -30,7 +30,7 @@ MAJORITY = """\
 
 
 def _props(text, rules=None):
-    sent = parse_conllu(text.splitlines(keepends=True))[0]
+    sent = list(iter_sentences(text.splitlines(keepends=True)))[0]
     return {occ.prop for occ in extract_propositions(sent, rules)}
 
 
@@ -57,7 +57,7 @@ def test_punctuation_only_sentence():
 
 
 def test_deterministic():
-    sent = parse_conllu(CONTROL_CHAIN.splitlines(keepends=True))[0]
+    sent = list(iter_sentences(CONTROL_CHAIN.splitlines(keepends=True)))[0]
     first = extract_propositions(sent)
     for _ in range(3):
         assert extract_propositions(sent) == first
@@ -83,7 +83,7 @@ def test_projection_closure(corpus_sentences):
 
 
 def test_provenance_indices():
-    sent = parse_conllu(CONTROL_CHAIN.splitlines(keepends=True))[0]
+    sent = list(iter_sentences(CONTROL_CHAIN.splitlines(keepends=True)))[0]
     by_label = {occ.prop.label: occ for occ in extract_propositions(sent)
                 if occ.prop.label in ("NVVPN",)}
     assert by_label["NVVPN"].token_indices == (1, 2, 4, 5, 6)
@@ -129,7 +129,7 @@ def test_normalize_arcs_propagates_subject_down_chain():
             "4\tstart\tstart\tVERB\t_\t_\t2\txcomp\t_\t_\n"
             "5\tto\tto\tPART\t_\t_\t6\tmark\t_\t_\n"
             "6\trun\trun\tVERB\t_\t_\t4\txcomp\t_\t_\n")
-    sent = parse_conllu(text.splitlines(keepends=True))[0]
+    sent = list(iter_sentences(text.splitlines(keepends=True)))[0]
     arcs = normalize_arcs(sent)
     assert (4, 1, "nsubj") in arcs
     assert (6, 1, "nsubj") in arcs
@@ -275,12 +275,12 @@ RELS = ("nsubj", "obj", "obl", "nmod", "xcomp", "ccomp", "case", "fixed",
 # chains of two links and more
 SENTENCES = trees("s", upos=UPOS, max_size=8,
                   deprels=RELS + ("nsubj:pass", "obl:agent", "root") + ("xcomp", "nsubj") * 4)
-THREE_LINK_CHAIN = parse_conllu([
+THREE_LINK_CHAIN = list(iter_sentences([
     "1\tJohn\tjohn\tPROPN\t_\t_\t2\tnsubj\t_\t_\n",
     "2\ttried\ttry\tVERB\t_\t_\t0\troot\t_\t_\n",
     "3\tstarting\tstart\tVERB\t_\t_\t2\txcomp\t_\t_\n",
     "4\tplanning\tplan\tVERB\t_\t_\t3\txcomp\t_\t_\n",
-    "5\trun\trun\tVERB\t_\t_\t4\txcomp\t_\t_\n"])[0]
+    "5\trun\trun\tVERB\t_\t_\t4\txcomp\t_\t_\n"]))[0]
 LABELS = {2: "NV", 3: "NVV", 4: "NVPN", 5: "NVVPN"}
 
 

@@ -1,7 +1,10 @@
 import io
 import random
 
+import pytest
+
 from mf import Proposition, Store, generalize_store, load_taxonomy
+from mf.errors import StoreStateError
 
 from .randstores import make_random_store
 
@@ -87,4 +90,7 @@ def test_frequencies_never_decrease():
 def test_output_is_frozen():
     store = Store().add(Proposition("VN", ("a", "b"))).freeze()
     result = generalize_store(store, _tax("NODES\nroot\tclass\n"))
-    assert result.frozen
+    # a query needs a frozen store, and a frozen store takes no more tuples
+    assert result.tuples_containing("a") == ((Proposition("VN", ("a", "b")), 0),)
+    with pytest.raises(StoreStateError):
+        result.add(Proposition("VN", ("c", "d")))

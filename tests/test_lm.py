@@ -5,8 +5,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mf import (LMHit, Sentence, Store, expand_domain, find_lms, load_expansion_table,
-                parse_conllu, sample_hits)
+from mf import (LMHit, Sentence, Store, expand_domain, find_lms, iter_sentences,
+                load_expansion_table, sample_hits)
 from mf.errors import FormatError
 
 from .corpusgen import an, _block
@@ -16,7 +16,7 @@ from .randstores import make_random_store
 
 def _sentences(*blocks):
     text = "".join(_block(f"t{i}", rows) for i, rows in enumerate(blocks, 1))
-    return parse_conllu(text.splitlines(keepends=True))
+    return list(iter_sentences(text.splitlines(keepends=True)))
 
 
 def test_expansion_table_load_and_lookup():

@@ -196,9 +196,9 @@ def test_save_rows_sorted(tmp_path):
     store.add(vn("ann", "a"))
     store.add(Proposition("AN", ("deep", "pit")))
     store.freeze()
-    buf = io.StringIO()
-    store.save(buf)
-    rows = buf.getvalue().splitlines()
+    path = tmp_path / "store.tsv"
+    store.save(path)
+    rows = path.read_text("utf-8").splitlines()
     assert rows == sorted(rows)
 
 

@@ -13,7 +13,7 @@ from .conftest import FIXTURES
 
 def test_hash_starts_a_comment_only_before_data():
     text = "# comment\n\n#another\nT=2\n#metoo\t1\t0\n\nnaïve\t0\t1\n"
-    assert list(textio.rows(text)) == [
+    assert list(textio.rows(text.splitlines(keepends=True))) == [
         (4, ["T=2"]), (5, ["#metoo", "1", "0"]), (7, ["naïve", "0", "1"])]
 
 
