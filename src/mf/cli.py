@@ -8,9 +8,17 @@ writes its own, so re-running a stage on unchanged inputs is byte-identical:
                                -> sources.<t>.tsv
                                -> cms.<t>.json -> lms.<t>.jsonl
                                -> gold_report.txt
+    store.tsv.idx, store.gen.tsv.idx   (index caches beside their store)
 
 The stages after generalize read store.gen.tsv (store.tsv under
 --no-generalize); cms ranks sources from the store, not sources.<t>.tsv.
+
+store.tsv.idx and store.gen.tsv.idx hold the index of their store. They
+are a cache: the first stage that queries a store writes its index file,
+and later stages read it in place of the store. A stage reads one only when
+both sha256 digests in its header match (of the store's bytes and of the
+index's own payload), and otherwise rebuilds it; extract and generalize
+never write one. Both are safe to delete.
 """
 
 import argparse

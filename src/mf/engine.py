@@ -47,10 +47,6 @@ class SourceConcept:
     weight: float
 
 
-def _weight(freq: int, key: PatternKey, store: Store) -> float:
-    return freq / store.pattern_total(key)
-
-
 def tuple_weight(lexeme: str, prop: Proposition, position: int, store: Store) -> float:
     """Frequency of the tuple over the total of its blanked-slot pattern."""
     freq = store.freq(prop)
@@ -59,7 +55,7 @@ def tuple_weight(lexeme: str, prop: Proposition, position: int, store: Store) ->
     if not 0 <= position < len(prop.slots) or prop.slots[position] != lexeme:
         raise ValueError(
             f"lexeme {lexeme!r} does not fill slot {position} of {prop.text}")
-    return _weight(freq, prop.pattern(position), store)
+    return freq / store.pattern_total(prop.pattern(position))
 
 
 def salient_properties(lexeme: str, store: Store,
@@ -70,14 +66,14 @@ def salient_properties(lexeme: str, store: Store,
     """
     if top_n is not None and top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
+    index = store.index
+    freqs, totals = index.row_freq, index.pattern_total
     # n, the store's (tuple, position) order, breaks ties, so no two keys
-    # ever compare their tuples
-    keyed = []
-    for n, (prop, i) in enumerate(store.tuples_containing(lexeme)):
-        freq = store.freq(prop)
-        keyed.append((-_weight(freq, prop.pattern(i), store), -freq, n, prop, i))
-    return [WeightedTuple(prop, i, -weight, -freq)
-            for weight, freq, _, prop, i in sorted(keyed)[:top_n]]
+    # ever compare their rows
+    keyed = sorted((-(freqs[r] / totals[p]), -freqs[r], n, r, i)
+                   for n, (r, i, p) in enumerate(index.entries(lexeme)))
+    return [WeightedTuple(index.proposition(r), i, -weight, -freq)
+            for weight, freq, _, r, i in keyed[:top_n]]
 
 
 def generate_sources(lexeme: str, store: Store) -> list[WeightedSource]:
@@ -85,25 +81,35 @@ def generate_sources(lexeme: str, store: Store) -> list[WeightedSource]:
 
     A lexeme s is a candidate when some tuple puts s in the same blanked
     position of a pattern that one of the seed's tuples fills; it then
-    collects that seed tuple's weight.
+    collects that seed tuple's weight. The sums run over the store's ids,
+    in the store's order, and strings are made only for the result.
     """
-    acc: dict[str, WeightedSource] = {}
-    for prop, i in store.tuples_containing(lexeme):
-        key = prop.pattern(i)
-        wt = _weight(store.freq(prop), key, store)
-        for other in store.tuples_matching(key):
-            s = other.slots[i]
-            if s == lexeme:
+    index = store.index
+    freqs, totals = index.row_freq, index.pattern_total
+    slots, row_start = index.slots, index.row_start
+    seed = index.lexeme_id(lexeme)
+    keys, weights = [], []  # each seed entry's pattern and weight
+    acc: dict[int, list] = {}  # source id -> [weight, evidence freq, seed entries]
+    for k, (r, i, p) in enumerate(index.entries(lexeme)):
+        wt = freqs[r] / totals[p]
+        keys.append(index.pattern_key(r, i))
+        weights.append(wt)
+        for other in index.rows_of(p):
+            s = slots[row_start[other] + i]
+            if s == seed:
                 continue
-            ws = acc.get(s)
-            if ws is None:
-                ws = acc[s] = WeightedSource(s, 0.0)
-            ws.weight += wt
-            ws.evidence[key] = ws.evidence.get(key, 0.0) + wt
-            ws.evidence_freq += store.freq(other)
-    ranked = sorted(acc.values(),
-                    key=lambda ws: (-ws.weight, -ws.evidence_freq, ws.lexeme))
-    return ranked
+            entry = acc.get(s)
+            if entry is None:
+                entry = acc[s] = [0.0, 0, []]
+            entry[0] += wt
+            entry[1] += freqs[other]
+            # a pattern's rows differ in its blank slot, so a source meets
+            # each seed entry once
+            entry[2].append(k)
+    ranked = sorted(acc.items(), key=lambda item: (-item[1][0], -item[1][1], item[0]))
+    return [WeightedSource(index.lexemes[s], weight,
+                           {keys[k]: weights[k] for k in entries}, freq)
+            for s, (weight, freq, entries) in ranked]
 
 
 def filter_sources(sources: list[WeightedSource], target: str,

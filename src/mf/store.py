@@ -5,10 +5,23 @@ proposition with exactly one slot blanked. Both are plain typed tuples, so
 hashing, equality and ordering run at C speed. The slot-count rule (a label
 takes exactly `label_arity` slots) is checked where a tuple enters a store,
 in `Store.add`. The store counts identical tuples, then freezes into a
-read-only store; the first lexeme or pattern query builds its index.
+read-only store; the first lexeme or pattern query builds its index, one
+set of int columns (`StoreIndex`).
+
+A store loaded from a path caches that index beside the file, in
+`<path>.idx`, when its first query builds it. A later load reads the
+index instead of parsing the file, but only when the sha256 of the file's
+bytes and of the index's payload both match the index's header; otherwise
+it parses the file and builds the index again. The file stays the
+canonical artifact: the index is a cache, safe to delete.
 """
 
+import struct
+import sys
+from array import array
+from bisect import bisect_left
 from functools import cached_property
+from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import textio
@@ -27,7 +40,8 @@ class Proposition(NamedTuple):
         """Blank out the slot at `position`."""
         if not 0 <= position < len(self.slots):
             raise IndexError(f"no slot {position} in {self.text}")
-        return _pattern_key(self.label, self.slots, position)
+        return PatternKey(self.label,
+                          self.slots[:position] + (None,) + self.slots[position + 1:])
 
     @property
     def text(self) -> str:
@@ -48,13 +62,6 @@ class PatternKey(NamedTuple):
         return " ".join((self.label,) + rendered)
 
 
-def _pattern_key(label: str, slots: tuple[str, ...], position: int) -> PatternKey:
-    # tuple.__new__ skips the NamedTuple constructor's Python-level call,
-    # which the index build would otherwise pay once per slot of every tuple
-    return tuple.__new__(PatternKey, (label, slots[:position] + (None,)
-                                      + slots[position + 1:]))
-
-
 class Occurrence(NamedTuple):
     """One extracted proposition instance with provenance."""
     prop: Proposition
@@ -62,10 +69,191 @@ class Occurrence(NamedTuple):
     token_indices: tuple[int, ...]
 
 
-class _Index(NamedTuple):
-    by_lexeme: dict[str, tuple[tuple[Proposition, int], ...]]
-    by_pattern: dict[PatternKey, tuple[Proposition, ...]]
-    totals: dict[PatternKey, int]
+# (name, array typecode) of each column: 32-bit ids and offsets, 64-bit
+# frequencies, and the slot positions in bytes
+_COLUMNS = (("row_label", "i"), ("row_freq", "q"), ("row_start", "i"),
+            ("slots", "i"), ("slot_pattern", "i"),
+            ("pattern_start", "i"), ("pattern_rows", "i"), ("pattern_total", "q"),
+            ("lexeme_start", "i"), ("lexeme_rows", "i"), ("lexeme_pos", "b"))
+# magic and format version, byte order of the columns, sha256 of the store
+# file, sha256 of the payload that follows
+_HEADER = struct.Struct("8s1s32s32s")
+_MAGIC = b"mf-idx\x00\x01"
+_BYTE_ORDER = sys.byteorder[0].encode()
+
+
+class StoreIndex:
+    """A frozen store as int columns of `array`s, which hold no Python
+    object per entry.
+
+    Labels and lexemes are numbered in sorted order, so ids compare as their
+    strings do, and rows are the store's tuples in sorted order. Row r has
+    label `labels[row_label[r]]`, frequency `row_freq[r]` and the lexeme
+    ids `slots[row_start[r]:row_start[r + 1]]`. Flat slot j lies in the
+    pattern `slot_pattern[j]` that blanks it; patterns are numbered in the
+    order of their first slot. Pattern p's rows, ascending, are
+    `pattern_rows[pattern_start[p]:pattern_start[p + 1]]`, with summed
+    frequency `pattern_total[p]`. Lexeme x fills slot `lexeme_pos[n]` of
+    row `lexeme_rows[n]` for n from `lexeme_start[x]` to
+    `lexeme_start[x + 1]`, in (row, position) order.
+    """
+
+    def __init__(self, labels: list[str], lexemes: list[str], columns):
+        self.labels = labels
+        self.lexemes = lexemes
+        for (name, _), column in zip(_COLUMNS, columns):
+            setattr(self, name, column)
+
+    @classmethod
+    def build(cls, counts: dict[Proposition, int]) -> "StoreIndex":
+        rows = sorted(counts.items())
+        labels = sorted({prop.label for prop in counts})
+        lexemes = sorted({lexeme for prop in counts for lexeme in prop.slots})
+        label_id = dict(zip(labels, range(len(labels))))
+        lexeme_id = dict(zip(lexemes, range(len(lexemes))))
+        row_label, row_freq, row_start = array("i"), array("q"), array("i", [0])
+        slots, slot_pattern, slot_row, slot_pos = (array("i") for _ in range(4))
+        pattern_id: dict[tuple, int] = {}
+        for r, ((label, words), freq) in enumerate(rows):
+            row_label.append(label_id[label])
+            row_freq.append(freq)
+            slots.extend(map(lexeme_id.__getitem__, words))
+            row_start.append(len(slots))
+            for i in range(len(words)):
+                key = (label, i) + words[:i] + words[i + 1:]
+                slot_pattern.append(pattern_id.setdefault(key, len(pattern_id)))
+                slot_row.append(r)
+                slot_pos.append(i)
+        pattern_start, by_pattern = _group(slot_pattern, len(pattern_id))
+        pattern_rows = array("i", map(slot_row.__getitem__, by_pattern))
+        pattern_total = array("q", bytes(8 * len(pattern_id)))
+        for p, r in zip(slot_pattern, slot_row):
+            pattern_total[p] += row_freq[r]
+        lexeme_start, by_lexeme = _group(slots, len(lexemes))
+        return cls(labels, lexemes, (
+            row_label, row_freq, row_start, slots, slot_pattern,
+            pattern_start, pattern_rows, pattern_total, lexeme_start,
+            array("i", map(slot_row.__getitem__, by_lexeme)),
+            array("b", map(slot_pos.__getitem__, by_lexeme))))
+
+    # -- lookups -----------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.row_freq)
+
+    def lexeme_id(self, lexeme: str) -> Optional[int]:
+        x = bisect_left(self.lexemes, lexeme)
+        return x if x < len(self.lexemes) and self.lexemes[x] == lexeme else None
+
+    def entries(self, lexeme: str) -> list[tuple[int, int, int]]:
+        """(row, position, pattern) of every slot the lexeme fills, in
+        (row, position) order."""
+        x = self.lexeme_id(lexeme)
+        if x is None:
+            return []
+        lo, hi = self.lexeme_start[x], self.lexeme_start[x + 1]
+        start, pattern = self.row_start, self.slot_pattern
+        return [(r, i, pattern[start[r] + i])
+                for r, i in zip(self.lexeme_rows[lo:hi], self.lexeme_pos[lo:hi])]
+
+    def rows_of(self, pattern: int) -> array:
+        return self.pattern_rows[self.pattern_start[pattern]:
+                                 self.pattern_start[pattern + 1]]
+
+    def pattern_id(self, key: PatternKey) -> Optional[int]:
+        label, words = key
+        if words.count(None) != 1:
+            return None
+        blank = words.index(None)
+        filled = [j for j, w in enumerate(words) if w is not None]
+        # the rows that hold the key's first filled slot where it does
+        candidates = ([r for r, i, _ in self.entries(words[filled[0]])
+                       if i == filled[0]] if filled else range(len(self)))
+        for r in candidates:
+            if (self.row_start[r + 1] - self.row_start[r] == len(words)
+                    and self.pattern_key(r, blank) == key):
+                return self.slot_pattern[self.row_start[r] + blank]
+        return None
+
+    # -- strings, made only for what a query returns ----------------------
+
+    def _words(self, row: int) -> list[str]:
+        lexemes = self.lexemes
+        return [lexemes[x] for x in self.slots[self.row_start[row]:
+                                               self.row_start[row + 1]]]
+
+    def proposition(self, row: int) -> Proposition:
+        return tuple.__new__(Proposition, (self.labels[self.row_label[row]],
+                                           tuple(self._words(row))))
+
+    def pattern_key(self, row: int, position: int) -> PatternKey:
+        words: list = self._words(row)
+        words[position] = None
+        return tuple.__new__(PatternKey, (self.labels[self.row_label[row]],
+                                          tuple(words)))
+
+    # -- the index file ----------------------------------------------------
+
+    def save(self, path: Path, store_bytes: bytes) -> None:
+        """Write the index atomically, for the store file of these bytes."""
+        texts = ["".join(s + "\n" for s in strings).encode("utf-8")
+                 for strings in (self.labels, self.lexemes)]
+        columns = [getattr(self, name) for name, _ in _COLUMNS]
+        sizes = array("q", [len(t) for t in texts] + [len(c) for c in columns])
+        payload = b"".join([sizes.tobytes(), *texts, *(c.tobytes() for c in columns)])
+        with textio.atomic(path) as fh:
+            fh.write(_HEADER.pack(_MAGIC, _BYTE_ORDER, _sha256(store_bytes),
+                                  _sha256(payload)))
+            fh.write(payload)
+
+    @classmethod
+    def read(cls, path: Path, store_bytes: bytes) -> Optional["StoreIndex"]:
+        """The index in the file, or None when there is none, or when its
+        header does not hold this format, this machine's byte order, the
+        sha256 of the store file's bytes and its payload's own sha256."""
+        try:
+            blob = path.read_bytes()
+        except OSError:
+            return None
+        if len(blob) < _HEADER.size:
+            return None
+        payload = memoryview(blob)[_HEADER.size:]
+        if (_HEADER.unpack_from(blob) != (_MAGIC, _BYTE_ORDER, _sha256(store_bytes),
+                                          _sha256(payload))):
+            return None
+        try:
+            sizes = array("q")
+            sizes.frombytes(payload[:sizes.itemsize * (2 + len(_COLUMNS))])
+            at = len(sizes) * sizes.itemsize
+            texts = []
+            for size in sizes[:2]:
+                texts.append(str(payload[at:at + size], "utf-8").split("\n")[:-1])
+                at += size
+            columns = []
+            for (_, typecode), size in zip(_COLUMNS, sizes[2:]):
+                column = array(typecode)
+                column.frombytes(payload[at:at + size * column.itemsize])
+                columns.append(column)
+                at += size * column.itemsize
+        except ValueError:  # sizes that do not fit the payload
+            return None
+        return cls(*texts, columns) if at == len(payload) else None
+
+
+def _sha256(data) -> bytes:
+    # imported here: hashlib loads OpenSSL, about 3 MiB of memory, which
+    # stages that never read a store's index file do without
+    import hashlib
+    return hashlib.sha256(data).digest()
+
+
+def _group(keys: array, n_keys: int) -> tuple[array, array]:
+    """Group the positions of `keys` by key: (start, order), where `order`
+    lists key k's positions ascending from `start[k]` to `start[k + 1]`."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ordered = [keys[j] for j in order]
+    start = array("i", (bisect_left(ordered, k) for k in range(n_keys + 1)))
+    return start, array("i", order)
 
 
 class Store:
@@ -81,6 +269,8 @@ class Store:
     def __init__(self):
         self._counts: dict[Proposition, int] = {}
         self._frozen = False
+        # (index file, store file bytes) of a store loaded from a path
+        self._index_file: Optional[tuple[Path, bytes]] = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -116,21 +306,26 @@ class Store:
         return self
 
     @cached_property
-    def _index(self) -> _Index:
+    def index(self) -> StoreIndex:
+        """The int columns every query reads. The first query builds them,
+        and writes them beside the file of a store loaded from a path."""
         if not self._frozen:
             raise StoreStateError("store must be frozen before queries")
-        by_lexeme: dict[str, list] = {}
-        by_pattern: dict[PatternKey, list] = {}  # key -> [total, tuples...]
-        for prop, freq in self:
-            label, slots = prop
-            for i, lexeme in enumerate(slots):
-                by_lexeme.setdefault(lexeme, []).append((prop, i))
-                matching = by_pattern.setdefault(_pattern_key(label, slots, i), [0])
-                matching[0] += freq
-                matching.append(prop)
-        return _Index({l: tuple(v) for l, v in by_lexeme.items()},
-                      {k: tuple(v[1:]) for k, v in by_pattern.items()},
-                      {k: v[0] for k, v in by_pattern.items()})
+        index = StoreIndex.build(self._counts)
+        if self._index_file is not None:
+            try:
+                index.save(*self._index_file)
+            except OSError:
+                pass  # the file is only a cache: the next load parses the store
+            self._index_file = None
+        return index
+
+    @cached_property
+    def _counts(self) -> dict[Proposition, int]:
+        # only a store read from its index file lacks the dict; it is made
+        # from the columns the first time a view needs it
+        index = self.index
+        return {index.proposition(r): f for r, f in enumerate(index.row_freq)}
 
     # -- plain views (allowed in either state) ---------------------------
 
@@ -157,19 +352,30 @@ class Store:
     def tuples_containing(self, lexeme: str) -> tuple[tuple[Proposition, int], ...]:
         """All (tuple, position) pairs whose slot at position equals lexeme,
         in (tuple, position) order."""
-        return self._index.by_lexeme.get(lexeme, ())
+        index = self.index
+        return tuple((index.proposition(r), i) for r, i, _ in index.entries(lexeme))
 
     def tuples_matching(self, key: PatternKey) -> tuple[Proposition, ...]:
         """All tuples whose blanking at the key's blank position yields it,
         in tuple order."""
-        return self._index.by_pattern.get(key, ())
+        index = self.index
+        p = index.pattern_id(key)
+        return () if p is None else tuple(map(index.proposition, index.rows_of(p)))
 
     def pattern_total(self, key: PatternKey) -> int:
         """Summed frequency of all tuples matching the key."""
-        return self._index.totals.get(key, 0)
+        p = self.index.pattern_id(key)
+        return 0 if p is None else self.index.pattern_total[p]
 
     def pattern_keys(self) -> Iterator[PatternKey]:
-        return iter(self._index.totals)
+        """Every pattern key, in the order of its first (tuple, position)."""
+        index = self.index
+        seen = 0
+        for r in range(len(index)):
+            for j in range(index.row_start[r], index.row_start[r + 1]):
+                if index.slot_pattern[j] == seen:
+                    seen += 1
+                    yield index.pattern_key(r, j - index.row_start[r])
 
     # -- persistence -------------------------------------------------------
 
@@ -185,11 +391,22 @@ class Store:
     @classmethod
     def load(cls, source: TextSource) -> "Store":
         """Read a store TSV (gzip detected by magic bytes) and freeze it.
+        A path's index file is read instead when it matches the file.
 
         Raises FormatError with the row number for bad arity or frequency.
         """
+        path = textio.as_path(source)
+        data = index = None
+        if path is not None:
+            data = path.read_bytes()
+            index_file = path.with_name(path.name + ".idx")
+            index = StoreIndex.read(index_file, data)
         store = cls()
-        for rowno, cols in textio.rows(source):
+        if index is not None:
+            del store._counts  # made from the columns only if a view asks
+            store.index = index
+            return store.freeze()
+        for rowno, cols in textio.rows(textio.lines(source, data)):
             if len(cols) < 3:
                 raise FormatError("expected label, slots..., frequency", rowno)
             label, slots, freq_text = cols[0], tuple(cols[1:-1]), cols[-1]
@@ -204,6 +421,8 @@ class Store:
                 store.add(Proposition(label, slots), freq)
             except FormatError as exc:
                 raise FormatError(str(exc), rowno) from None
+        if path is not None:
+            store._index_file = (index_file, data)
         return store.freeze()
 
 

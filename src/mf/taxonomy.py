@@ -76,7 +76,10 @@ class Taxonomy:
         self.names = frozenset(map(_normalize, names))
         self.person = person
         try:
-            TopologicalSorter(self.parents).prepare()
+            # sorted parents: the search, and so the node the error names,
+            # must not follow the string hash seed
+            TopologicalSorter({n: sorted(ps)
+                               for n, ps in self.parents.items()}).prepare()
         except CycleError as exc:
             raise FormatError(f"hypernym cycle through {exc.args[1][0]!r}") from None
         # the graph is acyclic, so every upward climb ends at a parentless

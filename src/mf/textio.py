@@ -13,7 +13,8 @@ is a FormatError naming the file.
 
 Every writer takes a path, picks gzip from a .gz suffix and writes to a
 temporary file beside the target that replaces it only once the write has
-succeeded, so a failed stage never leaves a half-written artifact behind.
+succeeded, so a failed stage never leaves a half-written artifact behind;
+`atomic` does the same for binary files.
 """
 
 import gzip
@@ -39,32 +40,38 @@ def as_path(source: TextSource) -> Optional[Path]:
     return Path(source) if isinstance(source, (str, Path)) else None
 
 
-def lines(source: TextSource) -> Iterator[str]:
-    """Stream the lines of a source, line endings kept."""
+def lines(source: TextSource, data: Optional[bytes] = None) -> Iterator[str]:
+    """Stream the lines of a source, line endings kept. `data`, if given,
+    holds the bytes already read from the path, which are decoded instead
+    of reading the file again."""
     path = as_path(source)
     if path is None:
         yield from source
         return
-    with open(path, "rb") as raw:
-        opener = gzip.open if raw.read(2) == _GZIP_MAGIC else open
+
+    def raw() -> IO[bytes]:
+        return open(path, "rb") if data is None else io.BytesIO(data)
+    with raw() as fh:
+        gz = fh.read(2) == _GZIP_MAGIC
     try:
-        with opener(path, "rt", encoding="utf-8") as fh:
-            yield from fh
+        with raw() as fh, io.TextIOWrapper(gzip.GzipFile(fileobj=fh) if gz else fh,
+                                           encoding="utf-8") as text:
+            yield from text
     except _UNREADABLE as exc:
         what = ("not UTF-8" if isinstance(exc, UnicodeDecodeError)
                 else f"truncated or corrupt gzip ({exc})")
         raise FormatError(f"{path}: {what} at line "
-                          f"{_first_unreadable_line(path, opener)}") from None
+                          f"{_first_unreadable_line(raw, gz)}") from None
 
 
-def _first_unreadable_line(path: Path, opener) -> int:
+def _first_unreadable_line(raw, gz: bool) -> int:
     # the text reader decodes a buffer ahead, so it fails before it reaches
     # the line at fault; reading line by line finds that line
     read = 0
     try:
-        with opener(path, "rb") as fh:
-            for raw in fh:
-                raw.decode("utf-8")
+        with raw() as fh, (gzip.GzipFile(fileobj=fh) if gz else fh) as binary:
+            for line in binary:
+                line.decode("utf-8")
                 read += 1
     except _UNREADABLE:
         pass
@@ -97,21 +104,30 @@ def load_json(source: TextSource) -> Any:
 
 
 @contextmanager
-def writer(target: TextTarget) -> Iterator[IO[str]]:
-    """Open a path for UTF-8 text writing, gzip-compressed when it ends in
-    .gz. The path is replaced atomically when the block exits without an
-    exception; otherwise the temporary file is removed and the earlier file
-    is left as it was.
+def atomic(target: TextTarget) -> Iterator[IO[bytes]]:
+    """Open a path for binary writing. The path is replaced atomically when
+    the block exits without an exception; otherwise the temporary file is
+    removed and the earlier file is left as it was.
     """
     path = Path(target)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as raw:
-            binary = (gzip.GzipFile(path, "wb", fileobj=raw)
-                      if path.suffix == ".gz" else raw)
-            with io.TextIOWrapper(binary, encoding="utf-8") as fh:
-                yield fh
+            yield raw
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def writer(target: TextTarget) -> Iterator[IO[str]]:
+    """Open a path for UTF-8 text writing, gzip-compressed when it ends in
+    .gz, replaced atomically as `atomic` does.
+    """
+    path = Path(target)
+    with atomic(path) as raw:
+        binary = (gzip.GzipFile(path, "wb", fileobj=raw)
+                  if path.suffix == ".gz" else raw)
+        with io.TextIOWrapper(binary, encoding="utf-8") as fh:
+            yield fh

@@ -5,6 +5,7 @@ and printing a pass line (run with `pytest tests/test_acceptance.py -v -s`).
 import io
 import json
 import random
+import shutil
 import time
 from contextlib import contextmanager
 
@@ -200,11 +201,13 @@ def test_c08_lm_retrieval_and_sampling(corpus_sentences):
         assert sample_hits(shuffled, per_pair=10, seed=13) == sampled
 
 
-def test_c09_gold_harness():
+def test_c09_gold_harness(tmp_path):
     with budget("criterion 9 (gold harness 10/13)", 5.0):
         gold_dir = FIXTURES / "gold"
         gold = load_gold(gold_dir / "gold.tsv")
-        store = Store.load(gold_dir / "gold_store.tsv")
+        # a copy, so the store's index file is written outside the source tree
+        shutil.copyfile(gold_dir / "gold_store.tsv", tmp_path / "gold_store.tsv")
+        store = Store.load(tmp_path / "gold_store.tsv")
         table = load_expansion_table(gold_dir / "gold_expansion.tsv")
         report = eval_gold(gold, store, table, threshold=0.04, top_sources=100,
                            top_patterns=10)

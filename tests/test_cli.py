@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mf import cli, lm
+from mf import Store, cli, lm
 from mf.cli import main
 
 from .corpusgen import FIXTURES
@@ -142,12 +142,13 @@ def test_generalize_stage(workdir):
 def test_write_path_builds_no_index(workdir, monkeypatch):
     def no_index(self):
         raise AssertionError("extract and generalize must not index the store")
-    monkeypatch.setattr("mf.store.Store._index", property(no_index))
+    monkeypatch.setattr("mf.store.Store.index", property(no_index))
     assert run("extract", "--corpus", FIXTURES / "poverty.conllu",
                "--workdir", workdir) == 0
     assert run("generalize", "--taxonomy", FIXTURES / "taxonomy.tsv",
                "--workdir", workdir) == 0
     assert (workdir / "store.gen.tsv").stat().st_size > 0
+    assert list(workdir.glob("*.idx")) == []
 
 
 def test_properties_unknown_lexeme_warns_exit_zero(workdir, capsys):
@@ -160,34 +161,26 @@ def test_properties_unknown_lexeme_warns_exit_zero(workdir, capsys):
 
 
 def test_pipeline_stages_and_rerun_identical(workdir):
+    # the fixture pipeline gives the bytes under tests/expected twice: on a
+    # fresh work directory, and again with the index of store.tsv written
+    # by the first run, which the rerun reads instead of the store
     corpus = FIXTURES / "poverty.conllu"
     args = ["--workdir", workdir, "--no-generalize"]
-    run("extract", "--corpus", corpus, *args)
-    run("properties", "--target", "poverty", *args)
-    run("sources", "--target", "poverty",
-        "--topic-matrix", FIXTURES / "topics.tsv", *args)
-    run("cms", "--target", "poverty",
-        "--topic-matrix", FIXTURES / "topics.tsv",
-        "--taxonomy", FIXTURES / "taxonomy.tsv", *args)
-    run("find-lms", "--target", "poverty", "--corpus", corpus,
-        "--expansion-table", FIXTURES / "expansion.tsv", *args)
     artifacts = ["store.tsv", "properties.poverty.tsv", "sources.poverty.tsv",
                  "cms.poverty.json", "lms.poverty.jsonl"]
-    first = {name: (workdir / name).read_bytes() for name in artifacts}
-    for name in artifacts:
-        assert first[name] == (EXPECTED / name).read_bytes(), name
-
-    run("extract", "--corpus", corpus, *args)
-    run("properties", "--target", "poverty", *args)
-    run("sources", "--target", "poverty",
-        "--topic-matrix", FIXTURES / "topics.tsv", *args)
-    run("cms", "--target", "poverty",
-        "--topic-matrix", FIXTURES / "topics.tsv",
-        "--taxonomy", FIXTURES / "taxonomy.tsv", *args)
-    run("find-lms", "--target", "poverty", "--corpus", corpus,
-        "--expansion-table", FIXTURES / "expansion.tsv", *args)
-    for name in artifacts:
-        assert (workdir / name).read_bytes() == first[name], name
+    for rerun in (False, True):
+        assert (workdir / "store.tsv.idx").exists() == rerun
+        run("extract", "--corpus", corpus, *args)
+        run("properties", "--target", "poverty", *args)
+        run("sources", "--target", "poverty",
+            "--topic-matrix", FIXTURES / "topics.tsv", *args)
+        run("cms", "--target", "poverty",
+            "--topic-matrix", FIXTURES / "topics.tsv",
+            "--taxonomy", FIXTURES / "taxonomy.tsv", *args)
+        run("find-lms", "--target", "poverty", "--corpus", corpus,
+            "--expansion-table", FIXTURES / "expansion.tsv", *args)
+        for name in artifacts:
+            assert (workdir / name).read_bytes() == (EXPECTED / name).read_bytes(), name
 
 
 def _child_env(**extra):
@@ -367,21 +360,26 @@ def test_target_missing_from_generalized_store_warns_once(workdir, capsys):
 
 
 def test_generalized_path_artifacts_match_digests(workdir):
-    # the default pipeline, through store.gen.tsv, kept byte for byte
+    # the default pipeline, through store.gen.tsv, kept byte for byte, on a
+    # fresh work directory and again with store.gen.tsv.idx in it
     corpus = FIXTURES / "poverty.conllu"
     args = ["--workdir", workdir]
-    run("extract", "--corpus", corpus, *args)
-    run("generalize", "--taxonomy", FIXTURES / "taxonomy.tsv", *args)
-    run("sources", "--target", "poverty",
-        "--topic-matrix", FIXTURES / "topics.tsv", *args)
-    run("cms", "--target", "poverty",
-        "--topic-matrix", FIXTURES / "topics.tsv",
-        "--taxonomy", FIXTURES / "taxonomy.tsv", *args)
-    run("find-lms", "--target", "poverty", "--corpus", corpus,
-        "--expansion-table", FIXTURES / "expansion.tsv", *args)
-    for line in (EXPECTED / "generalized-fixture.sha256").read_text("utf-8").splitlines():
-        digest, name = line.split()
-        assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == digest, name
+    for rerun in (False, True):
+        assert (workdir / "store.gen.tsv.idx").exists() == rerun
+        run("extract", "--corpus", corpus, *args)
+        run("generalize", "--taxonomy", FIXTURES / "taxonomy.tsv", *args)
+        run("sources", "--target", "poverty",
+            "--topic-matrix", FIXTURES / "topics.tsv", *args)
+        run("cms", "--target", "poverty",
+            "--topic-matrix", FIXTURES / "topics.tsv",
+            "--taxonomy", FIXTURES / "taxonomy.tsv", *args)
+        run("find-lms", "--target", "poverty", "--corpus", corpus,
+            "--expansion-table", FIXTURES / "expansion.tsv", *args)
+        for line in (EXPECTED / "generalized-fixture.sha256").read_text(
+                "utf-8").splitlines():
+            digest, name = line.split()
+            assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == digest, \
+                name
     records = json.loads((workdir / "cms.poverty.json").read_text("utf-8"))
     assert "wordnet_city" in {r["source_node"] for r in records}
 
@@ -389,22 +387,28 @@ def test_generalized_path_artifacts_match_digests(workdir):
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                     reason="the digests were made with Python 3.11, and gen.py's "
                            "output on other versions is unchecked")
-@pytest.mark.parametrize("workload", ["build", "metaphors", "retrieve"])
-def test_seed1_workload_artifacts_match_digests(workload, tmp_path):
+@pytest.mark.parametrize("workload, cached", [
+    pytest.param(workload, cached, id=workload + ("-idx" if cached else ""))
+    for cached in (False, True) for workload in ("build", "metaphors", "retrieve")])
+def test_seed1_workload_artifacts_match_digests(workload, cached, tmp_path):
     # the seed-1 benchmark inputs, run stage by stage the way perfbench/run.py
     # does, kept byte for byte: build extracts the four shards and generalizes,
-    # the others run on the raw store
+    # the others run on the raw store. The cached case runs every stage a
+    # second time in the same work directory, where the store's index file
+    # is then read instead of the store.
     gen = Path(__file__).parents[1] / "perfbench" / "gen.py"
     inputs, wd = tmp_path / "in", tmp_path / "out"
     described = subprocess.run(
         [sys.executable, "-B", str(gen), "--workload", workload, "--seed", "1",
          "--out", str(inputs)], check=True, capture_output=True, text=True).stdout
-    if workload == "build":
-        shards = [inputs / f"corpus.{i}.conllu" for i in range(4)]
-        assert run("extract", "--corpus", *shards, "--workdir", wd) == 0
-        assert run("generalize", "--taxonomy", inputs / "taxonomy.tsv",
-                   "--workdir", wd) == 0
-    else:
+
+    def stages():
+        if workload == "build":
+            shards = [inputs / f"corpus.{i}.conllu" for i in range(4)]
+            assert run("extract", "--corpus", *shards, "--workdir", wd) == 0
+            assert run("generalize", "--taxonomy", inputs / "taxonomy.tsv",
+                       "--workdir", wd) == 0
+            return
         targets = [a for t in described.split("targets: ")[1].split()
                    for a in ("--target", t)]
         args = ["--workdir", wd, "--no-generalize"]
@@ -420,6 +424,17 @@ def test_seed1_workload_artifacts_match_digests(workload, tmp_path):
         else:
             assert run("find-lms", *targets, "--corpus", inputs / "corpus.conllu",
                        *expansion, *args) == 0
+
+    if cached:
+        stages()
+        if workload == "build":
+            # no build stage queries a store, so index the raw one here for
+            # generalize to read
+            Store.load(wd / "store.tsv").index
+        index = (wd / "store.tsv.idx").read_bytes()
+    stages()
+    if cached:
+        assert (wd / "store.tsv.idx").read_bytes() == index
     for line in (EXPECTED / f"{workload}-seed1.sha256").read_text("utf-8").splitlines():
         digest, name = line.split()
         assert hashlib.sha256((wd / name).read_bytes()).hexdigest() == digest, name

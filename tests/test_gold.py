@@ -1,4 +1,5 @@
 import io
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +15,12 @@ PARAMS = {"threshold": 0.04, "top_sources": 100, "top_patterns": 10}
 
 
 @pytest.fixture(scope="module")
-def gold_fixture(fixtures_dir):
+def gold_fixture(fixtures_dir, tmp_path_factory):
     gold_dir = fixtures_dir / "gold"
-    return (load_gold(gold_dir / "gold.tsv"),
-            Store.load(gold_dir / "gold_store.tsv"),
+    # a copy, so the store's index file is written outside the source tree
+    store = tmp_path_factory.mktemp("gold") / "gold_store.tsv"
+    shutil.copyfile(gold_dir / "gold_store.tsv", store)
+    return (load_gold(gold_dir / "gold.tsv"), Store.load(store),
             load_expansion_table(gold_dir / "gold_expansion.tsv"))
 
 

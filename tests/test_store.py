@@ -1,15 +1,23 @@
 import gzip
 import io
+import os
 import random
+import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mf import PatternKey, Proposition, Store, generate_sources, merge_stores
+import mf
+from mf import (PatternKey, Proposition, Store, generate_sources, merge_stores,
+                salient_properties)
 from mf.errors import FormatError, StoreStateError
 from mf.labels import DEFAULT_LABELS, label_arity
+from mf.store import StoreIndex
 
 from .lexemes import LEXEMES
 from .randstores import brute_force_containing, make_random_store
@@ -219,3 +227,121 @@ def test_add_rejects_slot_count_of_another_label():
     with pytest.raises(FormatError):
         store.add(Proposition("NVPN", ("war", "rage")))
     assert len(store) == 0
+
+
+# -- the index file beside a loaded store ------------------------------------
+
+def _queries(store):
+    """Every query answer of a store, floats compared exactly."""
+    keys = list(store.pattern_keys())
+    lexemes = sorted({lexeme for prop, _ in store for lexeme in prop.slots})
+    return (list(store), len(store), keys,
+            [(store.tuples_matching(k), store.pattern_total(k)) for k in keys],
+            [store.tuples_containing(lexeme) for lexeme in lexemes],
+            [[(s.lexeme, s.weight, s.evidence, s.evidence_freq)
+              for s in generate_sources(lexeme, store)] for lexeme in lexemes],
+            [salient_properties(lexeme, store, None) for lexeme in lexemes],
+            store.tuples_containing("absent"),
+            store.tuples_matching(PatternKey("VN", ("absent", None))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.lists(st.tuples(PROPOSITIONS, st.integers(1, 1000)), max_size=8))
+def test_index_file_round_trip(rng, entries):
+    # a random store, plus tuples of lexemes the text formats must carry
+    odd = Store()
+    for prop, freq in entries:
+        odd.add(prop, freq)
+    store = merge_stores([make_random_store(rng, max_tuples=40, vocab=12),
+                          odd]).freeze()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.tsv"
+        store.save(path)
+        loaded = Store.load(path)
+        expected = _queries(store)
+        assert _queries(loaded) == expected
+        index = (Path(tmp) / "store.tsv.idx").read_bytes()
+        with mock.patch("mf.textio.rows", side_effect=AssertionError("parsed")):
+            reloaded = Store.load(path)
+            assert _queries(reloaded) == expected
+        assert reloaded == store
+        assert (Path(tmp) / "store.tsv.idx").read_bytes() == index
+
+
+def _fight(tmp_path, obj):
+    path = tmp_path / "store.tsv"
+    Store().add(vn("fight", obj), 3).add(vn("cure", obj), 1).freeze().save(path)
+    return path
+
+
+def test_stale_index_file_rebuilt(tmp_path):
+    path = _fight(tmp_path, "poverty")
+    assert Store.load(path).tuples_containing("poverty")
+    old_index = (tmp_path / "store.tsv.idx").read_bytes()
+    size = path.stat().st_size
+    path = _fight(tmp_path, "systems")  # other content, same size
+    assert path.stat().st_size == size
+    store = Store.load(path)
+    assert store.tuples_containing("poverty") == ()
+    assert store.tuples_containing("systems") == ((vn("cure", "systems"), 1),
+                                                  (vn("fight", "systems"), 1))
+    assert (tmp_path / "store.tsv.idx").read_bytes() != old_index
+    assert Store.load(path).tuples_containing("systems") == \
+        store.tuples_containing("systems")
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda b: b[:73] + bytes([b[73] ^ 1]) + b[74:], id="first-payload-byte"),
+    pytest.param(lambda b: b[:-1] + bytes([b[-1] ^ 1]), id="last-payload-byte"),
+    pytest.param(lambda b: b[:len(b) // 2], id="truncated"),
+    pytest.param(lambda b: b[:40], id="truncated-header"),
+    pytest.param(lambda b: b"", id="empty"),
+    pytest.param(lambda b: b"MF-IDX\0\1" + b[8:], id="wrong-magic"),
+    pytest.param(lambda b: b[:8] + (b"b" if b[8:9] == b"l" else b"l") + b[9:],
+                 id="other-byte-order"),
+])
+def test_corrupt_index_file_refused_and_rebuilt(tmp_path, damage):
+    path = _fight(tmp_path, "poverty")
+    index_file = tmp_path / "store.tsv.idx"
+    expected = _queries(Store.load(path))
+    good = index_file.read_bytes()
+    index_file.write_bytes(damage(good))
+    assert StoreIndex.read(index_file, path.read_bytes()) is None
+    assert _queries(Store.load(path)) == expected
+    assert index_file.read_bytes() == good
+
+
+def test_index_file_that_cannot_be_written_is_skipped(tmp_path):
+    path = _fight(tmp_path, "poverty")
+    (tmp_path / "store.tsv.idx").mkdir()
+    assert Store.load(path).tuples_containing("poverty") == \
+        ((vn("cure", "poverty"), 1), (vn("fight", "poverty"), 1))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tsv", "store.tsv.idx"]
+
+
+def test_store_read_from_lines_writes_no_index_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = _fight(tmp_path, "poverty")
+    with open(path, encoding="utf-8") as fh:
+        store = Store.load(fh)
+    assert store.tuples_containing("poverty")
+    store = Store.load(io.StringIO("VN\tfight\tpoverty\t3\n"))
+    assert store.tuples_containing("poverty") == ((vn("fight", "poverty"), 1),)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tsv"]
+
+
+def test_index_file_bytes_identical_across_processes(tmp_path):
+    code = ("import sys; from mf import Store; "
+            "Store.load(sys.argv[1]).tuples_containing('poverty')")
+    package_root = str(Path(mf.__file__).parents[1])
+    index_files = []
+    for seed in ("1", "2"):
+        path = tmp_path / seed / "store.tsv"
+        path.parent.mkdir()
+        shutil.copyfile(Path(__file__).parent / "expected" / "store.tsv", path)
+        subprocess.run([sys.executable, "-B", "-c", code, str(path)], check=True,
+                       env=dict(os.environ, PYTHONHASHSEED=seed,
+                                PYTHONPATH=package_root))
+        index_files.append((tmp_path / seed / "store.tsv.idx").read_bytes())
+    assert index_files[0] == index_files[1]

@@ -1,11 +1,16 @@
 import io
+import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mf
 from mf import Taxonomy, load_taxonomy, map_noun
 from mf.errors import FormatError
 
@@ -66,6 +71,23 @@ def test_cycle_detected():
             "EDGES\na\tb\nb\ta\n")
     with pytest.raises(FormatError):
         load_taxonomy(io.StringIO(text))
+
+
+def test_cycle_error_names_one_node_under_every_hash_seed():
+    # x sits under two disjoint cycles, p <-> r and q <-> s
+    text = ("NODES\nx\tclass\np\tclass\nq\tclass\nr\tclass\ns\tclass\n"
+            "EDGES\nx\tp\nx\tq\np\tr\nr\tp\nq\ts\ns\tq\n")
+    code = ("import io, sys\nfrom mf import load_taxonomy\n"
+            "try:\n    load_taxonomy(io.StringIO(sys.stdin.read()))\n"
+            "except Exception as exc:\n    print(exc)\n")
+    package_root = str(Path(mf.__file__).parents[1])
+    messages = {subprocess.run(
+        [sys.executable, "-B", "-c", code], input=text, check=True,
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=package_root)).stdout
+        for seed in ("1", "2", "3", "4", "5", "6")}
+    assert len(messages) == 1
+    assert "hypernym cycle through" in messages.pop()
 
 
 def test_deep_chain_loads_and_its_cycle_is_detected():
