@@ -147,7 +147,7 @@ def _warn_missing(targets: Iterable[str], store: Store, cfg: PipelineConfig) -> 
     why = (": generalize rewrote the nouns the taxonomy maps into class ids, "
            "and --no-generalize reads store.tsv") if cfg.generalize else ""
     for target in targets:
-        if not store.tuples_containing(target):
+        if store.index.lexeme_id(target) is None:
             _warn(f"lexeme {target!r} not found in "
                   f"{_workdir(cfg) / _store_name(cfg)}{why}")
 
@@ -227,12 +227,14 @@ def cmd_sources(cfg: PipelineConfig) -> int:
     for target in _targets(cfg, store):
         ranked = engine.rank_sources(target, store, tm, cfg.threshold,
                                      cfg.top_sources)
-        if not ranked and store.tuples_containing(target):
+        if not ranked and store.index.lexeme_id(target) is not None:
             _warn(f"no sources generated for {target!r}")
+        # each pattern's text once: a target's sources share most patterns
+        text = {p: p.text for p in set().union(*(src.evidence for src in ranked))}
         out = wd / f"sources.{target}.tsv"
         with textio.writer(out) as fh:
             for src in ranked:
-                patterns = "|".join(sorted(p.text for p in src.evidence))
+                patterns = "|".join(sorted(map(text.__getitem__, src.evidence)))
                 fh.write(f"{src.lexeme}\t{src.weight!r}\t{len(src.evidence)}\t"
                          f"{patterns}\n")
         print(f"{out}: {len(ranked)} sources")
@@ -247,19 +249,20 @@ def cmd_cms(cfg: PipelineConfig) -> int:
     for target in _targets(cfg, store):
         ranked = engine.rank_sources(target, store, tm, cfg.threshold,
                                      cfg.top_sources)
-        concepts = engine.cluster_sources(ranked, tax, cfg.k)
+        cms = engine.build_cms(engine.cluster_sources(ranked, tax, cfg.k),
+                               cfg.top_cms)
+        text = {p: p.text for p in set().union(*(c.shared_patterns for c in cms))}
         records = [{
             "target": [target],
             "source_node": c.node,
             "members": [{"lexeme": m.lexeme, "weight": m.weight}
                         for m in sorted(c.members, key=lambda m: (-m.weight, m.lexeme))],
-            "patterns": sorted(p.text for p in c.shared_patterns),
+            "patterns": sorted(map(text.__getitem__, c.shared_patterns)),
             "weight": c.weight,
-        } for c in engine.build_cms(concepts, cfg.top_cms)]
+        } for c in cms]
         out = wd / f"cms.{target}.json"
         with textio.writer(out) as fh:
-            json.dump(records, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(records, indent=2, sort_keys=True) + "\n")
         print(f"{out}: {len(records)} conceptual metaphors")
     return 0
 

@@ -8,6 +8,13 @@ seed's tuples whose patterns it also fills; which patterns those are is
 kept as per-source evidence, because pattern sharing is what a conceptual
 metaphor transfers.
 
+`rank_sources` keeps a target's best sources in one lazy pass: it sums
+every candidate's weight over the store's ids and sorts the ids, then walks
+that ranking, applies the topic-relatedness filter to each candidate it
+reaches, and stops once `top` have passed. Only the kept sources are made
+into `WeightedSource`s with their evidence, so the cost of the filter and
+of the strings follows `top`, not the candidate count.
+
 Each ranking breaks ties by a fixed key, so results are identical across
 runs and schedules: salient properties by (weight desc, frequency desc,
 then the store's tuple and slot order), sources by (weight desc, evidence
@@ -17,6 +24,8 @@ so the best concepts are its CMs, in the same order.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Callable, Iterator
 
 from .store import PatternKey, Proposition, Store
 from .taxonomy import CLASS, Taxonomy, map_noun
@@ -76,23 +85,26 @@ def salient_properties(lexeme: str, store: Store,
             for weight, freq, _, r, i in keyed[:top_n]]
 
 
-def generate_sources(lexeme: str, store: Store) -> list[WeightedSource]:
-    """Weight candidate source lexemes by the seed-tuple weights they share.
+def _ranked_sources(lexeme: str, store: Store,
+                    keep: Callable[[str], bool] | None) -> Iterator[WeightedSource]:
+    """Candidate source lexemes by the seed-tuple weights they share, best
+    first, skipping those `keep` rejects (none when it is None).
 
     A lexeme s is a candidate when some tuple puts s in the same blanked
     position of a pattern that one of the seed's tuples fills; it then
     collects that seed tuple's weight. The sums run over the store's ids,
-    in the store's order, and strings are made only for the result.
+    in the store's order. `keep` runs, and evidence and pattern keys are
+    made, only for the candidates the caller draws.
     """
     index = store.index
     freqs, totals = index.row_freq, index.pattern_total
     slots, row_start = index.slots, index.row_start
     seed = index.lexeme_id(lexeme)
-    keys, weights = [], []  # each seed entry's pattern and weight
+    entries = index.entries(lexeme)
+    weights = []  # each seed entry's weight
     acc: dict[int, list] = {}  # source id -> [weight, evidence freq, seed entries]
-    for k, (r, i, p) in enumerate(index.entries(lexeme)):
+    for k, (r, i, p) in enumerate(entries):
         wt = freqs[r] / totals[p]
-        keys.append(index.pattern_key(r, i))
         weights.append(wt)
         for other in index.rows_of(p):
             s = slots[row_start[other] + i]
@@ -106,30 +118,60 @@ def generate_sources(lexeme: str, store: Store) -> list[WeightedSource]:
             # a pattern's rows differ in its blank slot, so a source meets
             # each seed entry once
             entry[2].append(k)
-    ranked = sorted(acc.items(), key=lambda item: (-item[1][0], -item[1][1], item[0]))
-    return [WeightedSource(index.lexemes[s], weight,
-                           {keys[k]: weights[k] for k in entries}, freq)
-            for s, (weight, freq, entries) in ranked]
+    keys: dict[int, PatternKey] = {}  # seed entry -> its pattern, made once
+    for s, (weight, freq, seen) in sorted(
+            acc.items(), key=lambda item: (-item[1][0], -item[1][1], item[0])):
+        name = index.lexemes[s]
+        if keep is not None and not keep(name):
+            continue
+        evidence = {}
+        for k in seen:
+            key = keys.get(k)
+            if key is None:
+                r, i, _ = entries[k]
+                key = keys[k] = index.pattern_key(r, i)
+            evidence[key] = weights[k]
+        yield WeightedSource(name, weight, evidence, freq)
+
+
+def _unrelated(target: str, tm: TopicMatrix | None,
+               threshold: float) -> Callable[[str], bool] | None:
+    """The relatedness filter's keep-test for the target's sources: a source
+    survives when it is out of vocabulary or its relatedness to the target
+    is at most the threshold. None when it keeps every source."""
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if tm is None or tm.is_oov(target):
+        return None
+    return lambda lexeme: (tm.is_oov(lexeme)
+                           or tm.relatedness(target, lexeme) <= threshold)
+
+
+def generate_sources(lexeme: str, store: Store) -> list[WeightedSource]:
+    """Weight every candidate source lexeme by the seed-tuple weights it
+    shares, best first."""
+    return list(_ranked_sources(lexeme, store, None))
 
 
 def filter_sources(sources: list[WeightedSource], target: str,
                    tm: TopicMatrix | None, threshold: float) -> list[WeightedSource]:
     """Drop sources whose topic relatedness to the target exceeds the
     threshold; out-of-vocabulary sources always survive. Order preserved."""
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    if tm is None or tm.is_oov(target):
-        return list(sources)
-    return [s for s in sources
-            if tm.is_oov(s.lexeme) or tm.relatedness(target, s.lexeme) <= threshold]
+    keep = _unrelated(target, tm, threshold)
+    return list(sources) if keep is None else [s for s in sources if keep(s.lexeme)]
 
 
 def rank_sources(target: str, store: Store, tm: TopicMatrix | None,
                  threshold: float, top: int) -> list[WeightedSource]:
-    """The target's best `top` sources: generated, then filtered by topic
-    relatedness (no filter without a topic matrix), then truncated."""
-    return filter_sources(generate_sources(target, store), target, tm,
-                          threshold)[:top]
+    """The target's best `top` sources that pass the relatedness filter (no
+    filter without a topic matrix): `filter_sources(generate_sources(...))
+    [:top]`, but the ranking is walked once and stops at the `top`-th kept
+    source, so the filter tests and the sources made are only those it
+    reaches."""
+    if top < 1:
+        raise ValueError(f"top must be >= 1, got {top}")
+    return list(islice(_ranked_sources(target, store,
+                                       _unrelated(target, tm, threshold)), top))
 
 
 def cluster_sources(sources: list[WeightedSource], tax: Taxonomy,

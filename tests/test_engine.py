@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from mf import (PatternKey, Proposition, Store, Taxonomy, TopicMatrix,
                 WeightedSource, build_cms, cluster_sources, filter_sources,
-                generate_sources, load_taxonomy, salient_properties, tuple_weight)
+                generate_sources, load_taxonomy, rank_sources, salient_properties,
+                tuple_weight)
 
 from mf.labels import label_arity
 
@@ -188,6 +189,57 @@ def test_filter_output_is_sublist():
     positions = [index[id(s)] for s in kept]
     assert positions == sorted(positions)
 
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_rank_sources_is_the_filtered_prefix(seed, data):
+    store = make_random_store(random.Random(seed), max_tuples=60, vocab=12)
+    words = sorted(store.lexemes())
+    # two topics and four probabilities make equal relatedness, and one
+    # exactly at the threshold, common; words without a vector are OOV
+    vectors = data.draw(st.dictionaries(
+        st.sampled_from(words), st.tuples(*[st.sampled_from((0.0, 0.1, 0.2, 0.5))] * 2)))
+    tm = data.draw(st.sampled_from((None, TopicMatrix(2, vectors))))
+    target = data.draw(st.sampled_from(words + ["absent"]))
+    related = sorted({tm.relatedness(target, w) for w in words}) if tm else []
+    threshold = data.draw(st.sampled_from(related) if related
+                          else st.floats(0.0, 0.5))
+    expected = filter_sources(generate_sources(target, store), target, tm, threshold)
+    top = data.draw(st.integers(-1, len(expected) + 2))
+    if top < 1:
+        with pytest.raises(ValueError):
+            rank_sources(target, store, tm, threshold, top)
+    else:
+        assert rank_sources(target, store, tm, threshold, top) == expected[:top]
+
+
+class CountingTopics(TopicMatrix):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = []
+
+    def relatedness(self, w1, w2):
+        self.asked.append(w2)
+        return super().relatedness(w1, w2)
+
+
+def test_rank_sources_tests_relatedness_only_up_to_the_last_kept():
+    rng = random.Random(5)
+    for _ in range(100):
+        store = make_random_store(rng, max_tuples=80, vocab=8)
+        words = sorted(store.lexemes())
+        target = rng.choice(words)
+        vectors = {w: (rng.random(), rng.random()) for w in words
+                   if w == target or rng.random() < 0.8}
+        ranking = generate_sources(target, store)
+        kept = filter_sources(ranking, target, TopicMatrix(2, vectors), 0.3)
+        for k in range(1, len(kept) + 2):
+            tm = CountingTopics(2, vectors)
+            rank_sources(target, store, tm, 0.3, k)
+            # the candidates ranked no lower than the k-th kept one
+            reached = ranking[:ranking.index(kept[k - 1]) + 1] if k <= len(kept) \
+                else ranking
+            assert tm.asked == [s.lexeme for s in reached if s.lexeme in vectors]
 
 LOCATION_TAXONOMY = """\
 NODES
