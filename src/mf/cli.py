@@ -13,6 +13,9 @@ writes its own, so re-running a stage on unchanged inputs is byte-identical:
 The stages after generalize read store.gen.tsv (store.tsv under
 --no-generalize); cms ranks sources from the store, not sources.<t>.tsv.
 
+Every stage takes --config, --workdir and --no-generalize, and besides them
+only the flags it reads (_STAGES); the config file may set any key.
+
 store.tsv.idx and store.gen.tsv.idx hold the index of their store. They
 are a cache: the first stage that queries a store writes its index file,
 and later stages read it in place of the store. A stage reads one only when
@@ -25,6 +28,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -52,55 +56,57 @@ def _need(path: str | None, what: str) -> Path:
     return p
 
 
+# every flag a stage may take, with its argparse options; argparse names
+# each one's field after it
+_FLAGS = {
+    **dict.fromkeys(("--taxonomy", "--topic-matrix", "--expansion-table", "--gold"), {}),
+    "--corpus": dict(nargs="+", help="CoNLL-U file(s); shards are merged"),
+    "--rules": dict(help="JSON extraction-rule file"),
+    "--min-freq": dict(type=int),
+    "--target": dict(action="append", dest="targets", metavar="TARGET",
+                     help="seed lexeme (repeatable)"),
+    "--threshold": dict(type=float, help="relatedness cutoff"),
+    "--top-sources": dict(type=int),
+    "--k": dict(type=int, help="minimum shared patterns per concept"),
+    "--top-cms": dict(type=int),
+    "--sidecar": dict(help="TSV sentence_id <TAB> text override"),
+    "--seed": dict(type=int, help="sampling seed"),
+    "--per-pair": dict(type=int),
+}
+_SOURCES = ("--target", "--topic-matrix", "--threshold", "--top-sources")
+
+# each stage's help and the flags its cmd_* reads, besides --config,
+# --workdir and --no-generalize, which every stage takes
+_STAGES = {
+    "extract": ("corpus -> proposition store",
+                ("--corpus", "--rules", "--min-freq")),
+    "generalize": ("store + taxonomy -> generalized store", ("--taxonomy",)),
+    "properties": ("ranked tuples containing a lexeme", ("--target",)),
+    "sources": ("ranked candidate source lexemes", _SOURCES),
+    "cms": ("clustered conceptual metaphors",
+            _SOURCES + ("--taxonomy", "--k", "--top-cms")),
+    "find-lms": ("retrieve dependency-linked candidates",
+                 ("--target", "--corpus", "--expansion-table", "--sidecar",
+                  "--seed", "--per-pair")),
+    "eval-gold": ("score gold domain mappings",
+                  ("--gold", "--expansion-table", "--topic-matrix", "--threshold",
+                   "--top-sources")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mf",
         description="Build proposition stores and generate conceptual metaphors.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for name, (help_text, flags) in _STAGES.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--workdir", help="artifact directory (default: out)")
-        p.add_argument("--threshold", type=float, help="relatedness cutoff")
-        p.add_argument("--k", type=int, help="minimum shared patterns per concept")
-        p.add_argument("--top-sources", type=int, dest="top_sources")
-        p.add_argument("--top-cms", type=int, dest="top_cms")
-        p.add_argument("--seed", type=int, help="sampling seed")
-        p.add_argument("--min-freq", type=int, dest="min_freq")
-        p.add_argument("--per-pair", type=int, dest="per_pair")
         p.add_argument("--no-generalize", action="store_false", dest="generalize",
                        default=None, help="use the raw store for downstream stages")
-        return p
-
-    p = common(sub.add_parser("extract", help="corpus -> proposition store"))
-    p.add_argument("--corpus", nargs="+", help="CoNLL-U file(s); shards are merged")
-    p.add_argument("--rules", help="JSON extraction-rule file")
-
-    p = common(sub.add_parser("generalize", help="store + taxonomy -> generalized store"))
-    p.add_argument("--taxonomy")
-
-    for name, help_text in (("properties", "ranked tuples containing a lexeme"),
-                            ("sources", "ranked candidate source lexemes"),
-                            ("cms", "clustered conceptual metaphors")):
-        p = common(sub.add_parser(name, help=help_text))
-        p.add_argument("--target", action="append", dest="targets", metavar="TARGET",
-                       help="seed lexeme (repeatable)")
-        if name != "properties":
-            p.add_argument("--topic-matrix", dest="topic_matrix")
-        if name == "cms":
-            p.add_argument("--taxonomy")
-
-    p = common(sub.add_parser("find-lms", help="retrieve dependency-linked candidates"))
-    p.add_argument("--target", action="append", dest="targets", metavar="TARGET")
-    p.add_argument("--corpus", nargs="+")
-    p.add_argument("--expansion-table", dest="expansion_table")
-    p.add_argument("--sidecar", help="TSV sentence_id <TAB> text override")
-
-    p = common(sub.add_parser("eval-gold", help="score gold domain mappings"))
-    p.add_argument("--gold")
-    p.add_argument("--expansion-table", dest="expansion_table")
-    p.add_argument("--topic-matrix", dest="topic_matrix")
-
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -179,6 +185,20 @@ def _load_table(cfg: PipelineConfig):
         if cfg.expansion_table else None
 
 
+def _emit(out: Path, lines: Iterable[str], summary: str) -> None:
+    """Write an artifact's lines to `out` and print what it holds."""
+    with textio.writer(out) as fh:
+        fh.writelines(lines)
+    print(f"{out}: {summary}")
+
+
+def _save(store: Store, out: Path) -> int:
+    """Write a store artifact and print what it holds; the stage's exit status."""
+    store.save(out)
+    print(f"{out}: {len(store)} tuples, total frequency {store.total()}")
+    return 0
+
+
 def cmd_extract(cfg: PipelineConfig) -> int:
     rules = load_rules(_need(cfg.rules, "rule file")) if cfg.rules else DEFAULT_RULES
     shards = []
@@ -189,34 +209,24 @@ def cmd_extract(cfg: PipelineConfig) -> int:
         shards.append(shard)
     store = merge_stores(shards)
     store.freeze(min_freq=cfg.min_freq)
-    out = _workdir(cfg) / "store.tsv"
-    store.save(out)
-    print(f"{out}: {len(store)} tuples, total frequency {store.total()}")
-    return 0
+    return _save(store, _workdir(cfg) / "store.tsv")
 
 
 def cmd_generalize(cfg: PipelineConfig) -> int:
     wd = _workdir(cfg)
     store = Store.load(_need(str(wd / "store.tsv"), "store artifact store.tsv"))
     tax = load_taxonomy(_need(cfg.taxonomy, "taxonomy"))
-    result = generalize.generalize_store(store, tax)
-    out = wd / "store.gen.tsv"
-    result.save(out)
-    print(f"{out}: {len(result)} tuples, total frequency {result.total()}")
-    return 0
+    return _save(generalize.generalize_store(store, tax), wd / "store.gen.tsv")
 
 
 def cmd_properties(cfg: PipelineConfig) -> int:
     store = _active_store(cfg)
     wd = _workdir(cfg)
     for target in _targets(cfg, store):
-        out = wd / f"properties.{target}.tsv"
         ranked = engine.salient_properties(target, store, top_n=None)
-        with textio.writer(out) as fh:
-            for wt in ranked:
-                fh.write(f"{wt.weight!r}\t{wt.frequency}\t{wt.position}\t"
-                         f"{wt.prop.text}\n")
-        print(f"{out}: {len(ranked)} tuples")
+        _emit(wd / f"properties.{target}.tsv",
+              (f"{wt.weight!r}\t{wt.frequency}\t{wt.position}\t{wt.prop.text}\n"
+               for wt in ranked), f"{len(ranked)} tuples")
     return 0
 
 
@@ -231,13 +241,10 @@ def cmd_sources(cfg: PipelineConfig) -> int:
             _warn(f"no sources generated for {target!r}")
         # each pattern's text once: a target's sources share most patterns
         text = {p: p.text for p in set().union(*(src.evidence for src in ranked))}
-        out = wd / f"sources.{target}.tsv"
-        with textio.writer(out) as fh:
-            for src in ranked:
-                patterns = "|".join(sorted(map(text.__getitem__, src.evidence)))
-                fh.write(f"{src.lexeme}\t{src.weight!r}\t{len(src.evidence)}\t"
-                         f"{patterns}\n")
-        print(f"{out}: {len(ranked)} sources")
+        _emit(wd / f"sources.{target}.tsv",
+              (f"{src.lexeme}\t{src.weight!r}\t{len(src.evidence)}\t"
+               f"{'|'.join(sorted(map(text.__getitem__, src.evidence)))}\n"
+               for src in ranked), f"{len(ranked)} sources")
     return 0
 
 
@@ -260,10 +267,9 @@ def cmd_cms(cfg: PipelineConfig) -> int:
             "patterns": sorted(map(text.__getitem__, c.shared_patterns)),
             "weight": c.weight,
         } for c in cms]
-        out = wd / f"cms.{target}.json"
-        with textio.writer(out) as fh:
-            fh.write(json.dumps(records, indent=2, sort_keys=True) + "\n")
-        print(f"{out}: {len(records)} conceptual metaphors")
+        pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(records)
+        _emit(wd / f"cms.{target}.json", chain(pieces, ["\n"]),
+              f"{len(cms)} conceptual metaphors")
     return 0
 
 
@@ -294,6 +300,9 @@ def cmd_find_lms(cfg: PipelineConfig) -> int:
             cms = [(rec["target"], rec["source_node"],
                     {m["lexeme"] for m in rec["members"]})
                    for rec in textio.load_json(cm_path)]
+            for _, node, members in cms:
+                if not all(isinstance(name, str) for name in (node, *members)):
+                    raise TypeError("source_node and lexemes must be strings")
         except (KeyError, TypeError) as exc:
             raise MFError(f"{cm_path}: expected a list of conceptual metaphors with "
                           f"target, source_node and members[].lexeme ({exc!r})") from None
@@ -318,21 +327,19 @@ def cmd_find_lms(cfg: PipelineConfig) -> int:
     for hit in sample_hits(hits(), cfg.per_pair, cfg.seed):
         sampled[hit.target_domain].append(hit)
     for target in targets:
-        out = wd / f"lms.{target}.jsonl"
-        with textio.writer(out) as fh:
-            for hit in sampled[target]:
-                record = {
-                    "sentence_id": hit.sentence_id,
-                    "target": hit.matched_target,
-                    "source": hit.matched_source,
-                    "deprel": hit.deprel,
-                    "direction": hit.direction,
-                    "target_domain": hit.target_domain,
-                    "source_domain": hit.source_domain,
-                    "text": sidecar.get(hit.sentence_id, hit.text),
-                }
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        print(f"{out}: {len(sampled[target])} hits sampled from {found[target]}")
+        records = ({
+            "sentence_id": hit.sentence_id,
+            "target": hit.matched_target,
+            "source": hit.matched_source,
+            "deprel": hit.deprel,
+            "direction": hit.direction,
+            "target_domain": hit.target_domain,
+            "source_domain": hit.source_domain,
+            "text": sidecar.get(hit.sentence_id, hit.text),
+        } for hit in sampled[target])
+        _emit(wd / f"lms.{target}.jsonl",
+              (json.dumps(record, sort_keys=True) + "\n" for record in records),
+              f"{len(sampled[target])} hits sampled from {found[target]}")
     return 0
 
 
@@ -349,9 +356,8 @@ def cmd_eval_gold(cfg: PipelineConfig) -> int:
         mappings, store, table, tm,
         threshold=cfg.threshold, top_sources=cfg.top_sources,
         top_patterns=cfg.top_patterns, warn=_warn)
-    out = _workdir(cfg) / "gold_report.txt"
     text = report.render()
-    with textio.writer(out) as fh:
+    with textio.writer(_workdir(cfg) / "gold_report.txt") as fh:
         fh.write(text)
     print(text, end="")
     return 0

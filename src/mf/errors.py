@@ -5,34 +5,32 @@ class MFError(Exception):
     """Base class for all mf errors."""
 
 
-class ConlluParseError(MFError):
+class _LocatedError(MFError):
+    """An error that may carry where it happened, in the attribute `_where`
+    names; the message is then prefixed with that place as `_place` shows it."""
+
+    _where = _place = ""
+
+    def __init__(self, message, where=None):
+        setattr(self, self._where, where)
+        if where is not None:
+            message = f"{self._place.format(where)}: {message}"
+        super().__init__(message)
+
+
+class ConlluParseError(_LocatedError):
     """Malformed CoNLL-U input; carries the 1-based line number."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    _where, _place = "line", "line {}"
 
 
-class SentenceStructureError(MFError):
+class SentenceStructureError(_LocatedError):
     """Structurally invalid sentence (dangling head, no single root, cycle, ...)."""
-
-    def __init__(self, message, sentence_id=None):
-        self.sentence_id = sentence_id
-        if sentence_id is not None:
-            message = f"sentence {sentence_id!r}: {message}"
-        super().__init__(message)
+    _where, _place = "sentence_id", "sentence {!r}"
 
 
-class FormatError(MFError):
+class FormatError(_LocatedError):
     """Malformed row in a data file; carries the 1-based row number."""
-
-    def __init__(self, message, row=None):
-        self.row = row
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
+    _where, _place = "row", "row {}"
 
 
 class StoreStateError(MFError):
@@ -40,11 +38,6 @@ class StoreStateError(MFError):
     store, or querying an unfrozen one)."""
 
 
-class ConfigError(MFError):
+class ConfigError(_LocatedError):
     """Invalid pipeline configuration; carries the offending field name."""
-
-    def __init__(self, message, field=None):
-        self.field = field
-        if field is not None:
-            message = f"{field}: {message}"
-        super().__init__(message)
+    _where, _place = "field", "{}"

@@ -16,11 +16,6 @@ ROLE_PREP = "P"
 
 _ROLE_RE = re.compile(r"Adv|[NVPA]")
 
-DEFAULT_LABELS = (
-    "NV", "VN", "NVV", "VPN", "NPN", "NVPN", "NVVPN", "NN", "AN", "AdvPN", "NVAdv",
-)
-
-
 @lru_cache(maxsize=None)
 def label_roles(label: str) -> tuple[str, ...]:
     """Split a pattern label into its per-slot roles.

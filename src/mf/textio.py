@@ -127,7 +127,8 @@ def writer(target: TextTarget) -> Iterator[IO[str]]:
     """
     path = Path(target)
     with atomic(path) as raw:
-        binary = (gzip.GzipFile(path, "wb", fileobj=raw)
+        # no timestamp: the same text gives the same bytes, and .idx digest
+        binary = (gzip.GzipFile(path, "wb", fileobj=raw, mtime=0)
                   if path.suffix == ".gz" else raw)
         with io.TextIOWrapper(binary, encoding="utf-8") as fh:
             yield fh

@@ -1,3 +1,4 @@
+import argparse
 import gzip
 import hashlib
 import json
@@ -128,6 +129,74 @@ def test_config_violation_names_field(workdir, tmp_path, capsys):
     assert run("extract", "--config", cfg, "--corpus",
                FIXTURES / "poverty.conllu", "--workdir", workdir) == 2
     assert "k" in capsys.readouterr().err
+
+
+# the flags each stage reads, besides --config, --workdir and --no-generalize
+SOURCE_FLAGS = {"--target", "--topic-matrix", "--threshold", "--top-sources"}
+STAGE_FLAGS = {
+    "extract": {"--corpus", "--rules", "--min-freq"},
+    "generalize": {"--taxonomy"},
+    "properties": {"--target"},
+    "sources": SOURCE_FLAGS,
+    "cms": SOURCE_FLAGS | {"--taxonomy", "--k", "--top-cms"},
+    "find-lms": {"--target", "--corpus", "--expansion-table", "--sidecar", "--seed",
+                 "--per-pair"},
+    "eval-gold": {"--gold", "--expansion-table", "--topic-matrix", "--threshold",
+                  "--top-sources"},
+}
+
+
+@pytest.mark.parametrize("stage", STAGE_FLAGS)
+def test_each_stage_accepts_only_the_flags_it_reads(stage):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    accepted = {flag for action in sub.choices[stage]._actions
+                for flag in action.option_strings} - {"-h", "--help"}
+    assert accepted == {"--config", "--workdir", "--no-generalize",
+                        *STAGE_FLAGS[stage]}
+
+
+def test_extract_refuses_a_flag_it_does_not_read(workdir, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run("extract", "--corpus", FIXTURES / "poverty.conllu",
+            "--workdir", workdir, "--threshold", "0.1")
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --threshold 0.1" in capsys.readouterr().err
+
+
+def test_min_freq_drops_tuples_seen_fewer_times(workdir, tmp_path):
+    # the control chain twice, once going to school and once to college
+    corpus = tmp_path / "two.conllu"
+    corpus.write_text(CONTROL_CHAIN + "\n" + CONTROL_CHAIN.replace(
+        "school", "college"), encoding="utf-8")
+    stores = {}
+    for min_freq in ("1", "2"):
+        assert run("extract", "--corpus", corpus, "--workdir", workdir,
+                   "--min-freq", min_freq) == 0
+        stores[min_freq] = (workdir / "store.tsv").read_text("utf-8").splitlines()
+    seen_twice = [row for row in stores["1"] if row.endswith("\t2")]
+    assert seen_twice and len(seen_twice) < len(stores["1"])
+    assert stores["2"] == seen_twice
+
+
+def _fixture_store(workdir):
+    """Extract the fixture store; the flags its downstream stages share."""
+    run("extract", "--corpus", FIXTURES / "poverty.conllu", "--workdir", workdir)
+    return ["--target", "poverty", "--topic-matrix", FIXTURES / "topics.tsv",
+            "--workdir", workdir, "--no-generalize"]
+
+
+def test_top_sources_cuts_the_source_rows(workdir):
+    assert run("sources", *_fixture_store(workdir), "--top-sources", "2") == 0
+    rows = (workdir / "sources.poverty.tsv").read_text("utf-8").splitlines()
+    assert rows == (EXPECTED / "sources.poverty.tsv").read_text("utf-8").splitlines()[:2]
+
+
+def test_top_cms_cuts_the_cm_records(workdir):
+    assert run("cms", *_fixture_store(workdir), "--taxonomy", FIXTURES / "taxonomy.tsv",
+               "--top-cms", "1") == 0
+    records = json.loads((workdir / "cms.poverty.json").read_text("utf-8"))
+    assert records == json.loads((EXPECTED / "cms.poverty.json").read_text("utf-8"))[:1]
 
 
 def test_generalize_stage(workdir):
@@ -622,6 +691,32 @@ def test_find_lms_malformed_cms_names_file(workdir, capsys, damage):
                "--corpus", FIXTURES / "poverty.conllu", *args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "cms.poverty.json" in err
+
+
+def _first_member_lexeme_is_a_number(records):
+    records[0]["members"][0]["lexeme"] = 5
+
+
+def _first_source_node_is_a_number(records):
+    assert len(records) > 1  # the other nodes stay strings
+    records[0]["source_node"] = 7
+
+
+@pytest.mark.parametrize("damage", [_first_member_lexeme_is_a_number,
+                                    _first_source_node_is_a_number],
+                         ids=["lexeme", "source-node"])
+def test_find_lms_cms_names_that_are_not_strings_rejected(workdir, capsys, damage):
+    args = _poverty_and_crime_cms(workdir)
+    cms = workdir / "cms.poverty.json"
+    records = json.loads(cms.read_text("utf-8"))
+    damage(records)
+    cms.write_text(json.dumps(records), encoding="utf-8")
+    capsys.readouterr()
+    assert run("find-lms", "--target", "poverty",
+               "--corpus", FIXTURES / "poverty.conllu", *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cms.poverty.json" in err
+    assert "expected a list of conceptual metaphors" in err
 
 
 def test_extract_truncated_rules_names_file(workdir, tmp_path, capsys):

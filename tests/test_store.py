@@ -16,7 +16,8 @@ import mf
 from mf import (PatternKey, Proposition, Store, generate_sources, merge_stores,
                 salient_properties)
 from mf.errors import FormatError, StoreStateError
-from mf.labels import DEFAULT_LABELS, label_arity
+from mf.extraction import DEFAULT_RULES
+from mf.labels import label_arity
 from mf.store import StoreIndex
 
 from .lexemes import LEXEMES
@@ -115,7 +116,8 @@ def test_indexes_agree_with_linear_scan():
 
 
 def propositions(lexemes):
-    return st.sampled_from(DEFAULT_LABELS).flatmap(lambda label: st.builds(
+    labels = [rule.label for rule in DEFAULT_RULES]
+    return st.sampled_from(labels).flatmap(lambda label: st.builds(
         Proposition, st.just(label), st.tuples(*[lexemes] * label_arity(label))))
 
 

@@ -1,6 +1,7 @@
 import gzip
 import json
 import os
+import time
 
 import pytest
 
@@ -29,6 +30,18 @@ def test_failed_write_keeps_earlier_artifact(tmp_path, name):
             raise RuntimeError("crash mid-write")
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == [name]
+
+
+def test_gzip_store_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    # the .idx digest hashes the store's bytes, so a re-saved store keeps it
+    store = Store.load(FIXTURES / "gold" / "gold_store.tsv")
+    saved = []
+    for now in (1_000_000_000.0, 1_700_000_000.0):
+        monkeypatch.setattr(time, "time", lambda: now)
+        store.save(tmp_path / "a.tsv.gz")
+        saved.append((tmp_path / "a.tsv.gz").read_bytes())
+    assert saved[0] == saved[1]
+    assert Store.load(tmp_path / "a.tsv.gz") == store
 
 
 # inputs with no committed fixture, written out by the test
