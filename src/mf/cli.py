@@ -9,6 +9,7 @@ writes its own, so re-running a stage on unchanged inputs is byte-identical:
                                -> cms.<t>.json -> lms.<t>.jsonl
                                -> gold_report.txt
     store.tsv.idx, store.gen.tsv.idx   (index caches beside their store)
+    topics.vec                         (cache of the topic vectors)
 
 The stages after generalize read store.gen.tsv (store.tsv under
 --no-generalize); cms ranks sources from the store, not sources.<t>.tsv.
@@ -22,6 +23,12 @@ and later stages read it in place of the store. A stage reads one only when
 both sha256 digests in its header match (of the store's bytes and of the
 index's own payload), and otherwise rebuilds it; extract and generalize
 never write one. Both are safe to delete.
+
+topics.vec caches the checked vectors of the topic matrix in the same
+cache-file format. sources, cms and eval-gold read it in place of the
+matrix while its header holds the sha256 of the matrix file's bytes, and
+otherwise parse the matrix and write it again; no other stage writes it.
+It is safe to delete.
 """
 
 import argparse
@@ -172,9 +179,13 @@ def _targets(cfg: PipelineConfig, store: Store) -> tuple[str, ...]:
 
 
 def _load_tm(cfg: PipelineConfig):
+    """The configured topic matrix, read through the work directory's
+    topics.vec. Stages load it after the store's index is built, so that
+    the build's peak memory does not hold the vectors."""
     if not cfg.topic_matrix:
         return None
-    tm = load_topic_matrix(_need(cfg.topic_matrix, "topic matrix"))
+    tm = load_topic_matrix(_need(cfg.topic_matrix, "topic matrix"),
+                           _workdir(cfg) / "topics.vec")
     if cfg.topics is not None and tm.topics != cfg.topics:
         _warn(f"topic matrix has {tm.topics} topics, config expects {cfg.topics}")
     return tm
@@ -232,9 +243,10 @@ def cmd_properties(cfg: PipelineConfig) -> int:
 
 def cmd_sources(cfg: PipelineConfig) -> int:
     store = _active_store(cfg)
+    targets = _targets(cfg, store)
     tm = _load_tm(cfg)
     wd = _workdir(cfg)
-    for target in _targets(cfg, store):
+    for target in targets:
         ranked = engine.rank_sources(target, store, tm, cfg.threshold,
                                      cfg.top_sources)
         if not ranked and store.index.lexeme_id(target) is not None:
@@ -250,10 +262,11 @@ def cmd_sources(cfg: PipelineConfig) -> int:
 
 def cmd_cms(cfg: PipelineConfig) -> int:
     store = _active_store(cfg)
+    targets = _targets(cfg, store)
     tm = _load_tm(cfg)
     tax = load_taxonomy(_need(cfg.taxonomy, "taxonomy"))
     wd = _workdir(cfg)
-    for target in _targets(cfg, store):
+    for target in targets:
         ranked = engine.rank_sources(target, store, tm, cfg.threshold,
                                      cfg.top_sources)
         cms = engine.build_cms(engine.cluster_sources(ranked, tax, cfg.k),
@@ -346,12 +359,12 @@ def cmd_find_lms(cfg: PipelineConfig) -> int:
 def cmd_eval_gold(cfg: PipelineConfig) -> int:
     store = _active_store(cfg)
     table = _load_table(cfg)
-    tm = _load_tm(cfg)
     mappings = gold_mod.load_gold(_need(cfg.gold, "gold file"))
     # gold targets only: source lexemes are only compared against, and the
     # expansion table may still match them
     _warn_missing(dict.fromkeys(t for m in mappings for t in sorted(m.targets)),
                   store, cfg)
+    tm = _load_tm(cfg)
     report = gold_mod.eval_gold(
         mappings, store, table, tm,
         threshold=cfg.threshold, top_sources=cfg.top_sources,

@@ -38,8 +38,8 @@ class PipelineConfig:
             value = getattr(self, key)
             if value is not None and value < 1:
                 raise ConfigError("must be strictly positive", key)
-        if self.threshold < 0:
-            raise ConfigError("must be >= 0", "threshold")
+        if not self.threshold >= 0:  # NaN too: no relatedness is <= NaN
+            raise ConfigError(f"must be a number >= 0, got {self.threshold}", "threshold")
         if not self.workdir:
             raise ConfigError("must name a directory", "workdir")
         return self

@@ -139,7 +139,7 @@ def _unrelated(target: str, tm: TopicMatrix | None,
     """The relatedness filter's keep-test for the target's sources: a source
     survives when it is out of vocabulary or its relatedness to the target
     is at most the threshold. None when it keeps every source."""
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     if tm is None or tm.is_oov(target):
         return None

@@ -16,8 +16,6 @@ it parses the file and builds the index again. The file stays the
 canonical artifact: the index is a cache, safe to delete.
 """
 
-import struct
-import sys
 from array import array
 from bisect import bisect_left
 from functools import cached_property
@@ -75,11 +73,8 @@ _COLUMNS = (("row_label", "i"), ("row_freq", "q"), ("row_start", "i"),
             ("slots", "i"), ("slot_pattern", "i"),
             ("pattern_start", "i"), ("pattern_rows", "i"), ("pattern_total", "q"),
             ("lexeme_start", "i"), ("lexeme_rows", "i"), ("lexeme_pos", "b"))
-# magic and format version, byte order of the columns, sha256 of the store
-# file, sha256 of the payload that follows
-_HEADER = struct.Struct("8s1s32s32s")
+# magic and format version of the index file, a `textio` cache file
 _MAGIC = b"mf-idx\x00\x01"
-_BYTE_ORDER = sys.byteorder[0].encode()
 
 
 class StoreIndex:
@@ -200,26 +195,14 @@ class StoreIndex:
                  for strings in (self.labels, self.lexemes)]
         columns = [getattr(self, name) for name, _ in _COLUMNS]
         sizes = array("q", [len(t) for t in texts] + [len(c) for c in columns])
-        payload = b"".join([sizes.tobytes(), *texts, *(c.tobytes() for c in columns)])
-        with textio.atomic(path) as fh:
-            fh.write(_HEADER.pack(_MAGIC, _BYTE_ORDER, _sha256(store_bytes),
-                                  _sha256(payload)))
-            fh.write(payload)
+        textio.write_cache(path, _MAGIC, store_bytes, [sizes, *texts, *columns])
 
     @classmethod
-    def read(cls, path: Path, store_bytes: bytes) -> Optional["StoreIndex"]:
-        """The index in the file, or None when there is none, or when its
-        header does not hold this format, this machine's byte order, the
-        sha256 of the store file's bytes and its payload's own sha256."""
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None
-        if len(blob) < _HEADER.size:
-            return None
-        payload = memoryview(blob)[_HEADER.size:]
-        if (_HEADER.unpack_from(blob) != (_MAGIC, _BYTE_ORDER, _sha256(store_bytes),
-                                          _sha256(payload))):
+    def read(cls, path: Path, store: Path) -> Optional["StoreIndex"]:
+        """The index in the file, or None when there is none, or when
+        `textio.read_cache` refuses it for the store file `store`."""
+        payload = textio.read_cache(path, _MAGIC, store)
+        if payload is None:
             return None
         try:
             sizes = array("q")
@@ -238,13 +221,6 @@ class StoreIndex:
         except ValueError:  # sizes that do not fit the payload
             return None
         return cls(*texts, columns) if at == len(payload) else None
-
-
-def _sha256(data) -> bytes:
-    # imported here: hashlib loads OpenSSL, about 3 MiB of memory, which
-    # stages that never read a store's index file do without
-    import hashlib
-    return hashlib.sha256(data).digest()
 
 
 def _group(keys: array, n_keys: int) -> tuple[array, array]:
@@ -396,16 +372,16 @@ class Store:
         Raises FormatError with the row number for bad arity or frequency.
         """
         path = textio.as_path(source)
-        data = index = None
-        if path is not None:
-            data = path.read_bytes()
-            index_file = path.with_name(path.name + ".idx")
-            index = StoreIndex.read(index_file, data)
+        data = None
         store = cls()
-        if index is not None:
-            del store._counts  # made from the columns only if a view asks
-            store.index = index
-            return store.freeze()
+        if path is not None:
+            index_file = path.with_name(path.name + ".idx")
+            index = StoreIndex.read(index_file, path)
+            if index is not None:
+                del store._counts  # made from the columns only if a view asks
+                store.index = index
+                return store.freeze()
+            data = path.read_bytes()
         for rowno, cols in textio.rows(textio.lines(source, data)):
             if len(cols) < 3:
                 raise FormatError("expected label, slots..., frequency", rowno)

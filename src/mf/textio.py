@@ -15,12 +15,20 @@ Every writer takes a path, picks gzip from a .gz suffix and writes to a
 temporary file beside the target that replaces it only once the write has
 succeeded, so a failed stage never leaves a half-written artifact behind;
 `atomic` does the same for binary files.
+
+A cache file holds a payload derived from a source file, for a later read
+in place of parsing that file again. Its header holds a magic string with
+the format version, this machine's byte order, the sha256 of the source
+file's bytes and the sha256 of the payload. A cache file is read only when
+all four match, and it is always safe to delete.
 """
 
 import gzip
 import io
 import json
 import os
+import struct
+import sys
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
@@ -33,6 +41,10 @@ TextTarget = Union[str, Path]
 
 _GZIP_MAGIC = b"\x1f\x8b"
 _UNREADABLE = (UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error)
+# magic and format version, byte order of the payload, sha256 of the source
+# file, sha256 of the payload that follows
+_CACHE_HEADER = struct.Struct("8s1s32s32s")
+_BYTE_ORDER = sys.byteorder[0].encode()
 
 
 def as_path(source: TextSource) -> Optional[Path]:
@@ -132,3 +144,48 @@ def writer(target: TextTarget) -> Iterator[IO[str]]:
                   if path.suffix == ".gz" else raw)
         with io.TextIOWrapper(binary, encoding="utf-8") as fh:
             yield fh
+
+
+def write_cache(target: TextTarget, magic: bytes, source: bytes,
+                payload: list) -> None:
+    """Write a cache file atomically: the header for `magic` and the source
+    file of bytes `source`, then the payload, a list of bytes-like pieces
+    written one after another without being joined."""
+    digest = _sha256()
+    for piece in payload:
+        digest.update(piece)
+    with atomic(target) as fh:
+        fh.write(_CACHE_HEADER.pack(magic, _BYTE_ORDER, _sha256(source).digest(),
+                                    digest.digest()))
+        fh.writelines(payload)
+
+
+def read_cache(cache: TextTarget, magic: bytes,
+               source: TextTarget) -> Optional[memoryview]:
+    """The payload of the cache file `cache` for the file `source`, or None
+    when there is no cache file, or when its header does not hold `magic`,
+    this machine's byte order, the sha256 of the source file's bytes and the
+    sha256 of the payload that follows. The source file is hashed a chunk
+    at a time, so its bytes are never held whole beside the cache's."""
+    try:
+        blob = Path(cache).read_bytes()
+    except OSError:
+        return None
+    if len(blob) < _CACHE_HEADER.size:
+        return None
+    payload = memoryview(blob)[_CACHE_HEADER.size:]
+    source_digest = _sha256()
+    with open(source, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            source_digest.update(chunk)
+    if _CACHE_HEADER.unpack_from(blob) != (magic, _BYTE_ORDER, source_digest.digest(),
+                                           _sha256(payload).digest()):
+        return None
+    return payload
+
+
+def _sha256(data=b""):
+    # imported here: hashlib loads OpenSSL, about 3 MiB of memory, which
+    # stages that neither read nor write a cache file do without
+    import hashlib
+    return hashlib.sha256(data)

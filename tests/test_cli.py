@@ -231,14 +231,16 @@ def test_properties_unknown_lexeme_warns_exit_zero(workdir, capsys):
 
 def test_pipeline_stages_and_rerun_identical(workdir):
     # the fixture pipeline gives the bytes under tests/expected twice: on a
-    # fresh work directory, and again with the index of store.tsv written
-    # by the first run, which the rerun reads instead of the store
+    # fresh work directory, and again with the index of store.tsv and the
+    # topic vectors written by the first run, which the rerun reads instead
+    # of the store and the topic matrix
     corpus = FIXTURES / "poverty.conllu"
     args = ["--workdir", workdir, "--no-generalize"]
     artifacts = ["store.tsv", "properties.poverty.tsv", "sources.poverty.tsv",
                  "cms.poverty.json", "lms.poverty.jsonl"]
     for rerun in (False, True):
         assert (workdir / "store.tsv.idx").exists() == rerun
+        assert (workdir / "topics.vec").exists() == rerun
         run("extract", "--corpus", corpus, *args)
         run("properties", "--target", "poverty", *args)
         run("sources", "--target", "poverty",
@@ -250,6 +252,47 @@ def test_pipeline_stages_and_rerun_identical(workdir):
             "--expansion-table", FIXTURES / "expansion.tsv", *args)
         for name in artifacts:
             assert (workdir / name).read_bytes() == (EXPECTED / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("damage", ["stale", "corrupt"])
+def test_stale_or_corrupt_topic_cache_is_rewritten(workdir, tmp_path, damage):
+    args = _fixture_store(workdir)
+    assert run("sources", *args) == 0
+    cache = workdir / "topics.vec"
+    good = cache.read_bytes()
+    if damage == "corrupt":
+        cache.write_bytes(good[:-1] + bytes([good[-1] ^ 1]))
+    else:  # the cache of another topic matrix
+        other = tmp_path / "other.tsv"
+        other.write_text("T=5\npoverty\t0.2\t0.2\t0.2\t0.2\t0.2\n", encoding="utf-8")
+        assert run("sources", *args, "--topic-matrix", other) == 0
+        assert cache.read_bytes() != good
+    assert run("sources", *args) == 0
+    name = "sources.poverty.tsv"
+    assert (workdir / name).read_bytes() == (EXPECTED / name).read_bytes()
+    assert cache.read_bytes() == good
+
+
+def test_stages_without_the_relatedness_filter_write_no_topic_cache(workdir, tmp_path):
+    # the config file names a topic matrix, which these stages never load
+    cfg = tmp_path / "topics.cfg"
+    cfg.write_text(f"topic_matrix = {FIXTURES / 'topics.tsv'}\n", encoding="utf-8")
+    corpus = FIXTURES / "poverty.conllu"
+    args = ["--config", cfg, "--workdir", workdir]
+    assert run("extract", "--corpus", corpus, *args) == 0
+    assert run("generalize", "--taxonomy", FIXTURES / "taxonomy.tsv", *args) == 0
+    assert run("properties", "--target", "poverty", *args, "--no-generalize") == 0
+    shutil.copyfile(EXPECTED / "cms.poverty.json", workdir / "cms.poverty.json")
+    assert run("find-lms", "--target", "poverty", "--corpus", corpus, *args,
+               "--no-generalize") == 0
+    assert not (workdir / "topics.vec").exists()
+
+
+def test_nan_threshold_flag_rejected(workdir, capsys):
+    # no relatedness is <= NaN, so it would drop every source in vocabulary
+    assert run("sources", *_fixture_store(workdir), "--threshold", "nan") == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not (workdir / "sources.poverty.tsv").exists()
 
 
 def _child_env(**extra):
@@ -464,7 +507,8 @@ def test_seed1_workload_artifacts_match_digests(workload, cached, tmp_path):
     # does, kept byte for byte: build extracts the four shards and generalizes,
     # the others run on the raw store. The cached case runs every stage a
     # second time in the same work directory, where the store's index file
-    # is then read instead of the store.
+    # and the topic vectors are then read instead of the store and the
+    # topic matrix.
     gen = Path(__file__).parents[1] / "perfbench" / "gen.py"
     inputs, wd = tmp_path / "in", tmp_path / "out"
     described = subprocess.run(
@@ -494,16 +538,19 @@ def test_seed1_workload_artifacts_match_digests(workload, cached, tmp_path):
             assert run("find-lms", *targets, "--corpus", inputs / "corpus.conllu",
                        *expansion, *args) == 0
 
+    # no build stage loads a topic matrix
+    caches = ["store.tsv.idx"] + ([] if workload == "build" else ["topics.vec"])
     if cached:
         stages()
         if workload == "build":
             # no build stage queries a store, so index the raw one here for
             # generalize to read
             Store.load(wd / "store.tsv").index
-        index = (wd / "store.tsv.idx").read_bytes()
+        assert all((wd / name).exists() for name in caches)
+        written = {name: (wd / name).read_bytes() for name in caches}
     stages()
     if cached:
-        assert (wd / "store.tsv.idx").read_bytes() == index
+        assert {name: (wd / name).read_bytes() for name in caches} == written
     for line in (EXPECTED / f"{workload}-seed1.sha256").read_text("utf-8").splitlines():
         digest, name = line.split()
         assert hashlib.sha256((wd / name).read_bytes()).hexdigest() == digest, name

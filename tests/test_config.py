@@ -65,8 +65,10 @@ def test_threshold_zero_allowed(tmp_path):
 
 
 def test_negative_threshold_rejected(tmp_path):
+    # NaN too: no relatedness is <= NaN, so it would drop every source
     path = tmp_path / "bad.cfg"
-    path.write_text("threshold = -0.5\n", encoding="utf-8")
-    with pytest.raises(ConfigError) as err:
-        load_config(path)
-    assert err.value.field == "threshold"
+    for value in ("-0.5", "nan"):
+        path.write_text(f"threshold = {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="threshold") as err:
+            load_config(path)
+        assert err.value.field == "threshold"

@@ -173,8 +173,9 @@ def test_filter_sources_identity_cases():
     sources2 = generate_sources("poverty", store2)
     kept = filter_sources(sources2, "poverty", tm, 0.0)
     assert [s.lexeme for s in kept] == ["oovword"]
-    with pytest.raises(ValueError):
-        filter_sources(sources2, "poverty", tm, -0.5)
+    for threshold in (-0.5, float("nan")):
+        with pytest.raises(ValueError):
+            filter_sources(sources2, "poverty", tm, threshold)
 
 
 def test_filter_output_is_sublist():

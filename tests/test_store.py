@@ -7,18 +7,20 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mf
-from mf import (PatternKey, Proposition, Store, generate_sources, merge_stores,
-                salient_properties)
+from mf import (PatternKey, Proposition, Store, generate_sources, load_topic_matrix,
+                merge_stores, salient_properties, textio)
 from mf.errors import FormatError, StoreStateError
 from mf.extraction import DEFAULT_RULES
 from mf.labels import label_arity
-from mf.store import StoreIndex
+from mf.store import _MAGIC as STORE_MAGIC
+from mf.topics import _CACHE_MAGIC as TOPICS_MAGIC
 
 from .lexemes import LEXEMES
 from .randstores import brute_force_containing, make_random_store
@@ -277,20 +279,55 @@ def _fight(tmp_path, obj):
     return path
 
 
-def test_stale_index_file_rebuilt(tmp_path):
-    path = _fight(tmp_path, "poverty")
-    assert Store.load(path).tuples_containing("poverty")
-    old_index = (tmp_path / "store.tsv.idx").read_bytes()
-    size = path.stat().st_size
-    path = _fight(tmp_path, "systems")  # other content, same size
-    assert path.stat().st_size == size
-    store = Store.load(path)
-    assert store.tuples_containing("poverty") == ()
-    assert store.tuples_containing("systems") == ((vn("cure", "systems"), 1),
-                                                  (vn("fight", "systems"), 1))
-    assert (tmp_path / "store.tsv.idx").read_bytes() != old_index
-    assert Store.load(path).tuples_containing("systems") == \
-        store.tuples_containing("systems")
+def _vectors(tm):
+    return tm.topics, {w: tm.vector(w).tobytes() for w in sorted(tm.vocabulary())}
+
+
+class _Cache(NamedTuple):
+    """A kind of `textio` cache file: the file name of its source and its
+    own, its magic, how to write a source that names a lexeme, and how to
+    load a source (a path or lines) into every answer it gives, through the
+    cache file in a work directory or without any cache file."""
+    source: str
+    name: str
+    magic: bytes
+    write: Callable[[Path, str], None]
+    load: Callable[[Any, Path], Any]
+    parse: Callable[[Path], Any]
+
+
+CACHES = {
+    "idx": _Cache("store.tsv", "store.tsv.idx", STORE_MAGIC,
+                  lambda path, lexeme: _fight(path.parent, lexeme),
+                  lambda source, workdir: _queries(Store.load(source)),
+                  lambda path: _queries(Store.load(path.read_text("utf-8").splitlines()))),
+    "vec": _Cache("topics.tsv", "topics.vec", TOPICS_MAGIC,
+                  lambda path, lexeme: path.write_text(
+                      f"T=2\n{lexeme}\t0.25\t0.75\nwar\t0.5\t0.5\n", encoding="utf-8"),
+                  lambda source, workdir: _vectors(
+                      load_topic_matrix(source, workdir / "topics.vec")),
+                  lambda path: _vectors(load_topic_matrix(path))),
+}
+
+
+@pytest.fixture(params=list(CACHES))
+def cache(request):
+    return CACHES[request.param]
+
+
+def test_stale_cache_file_rebuilt(tmp_path, cache):
+    source, cache_file = tmp_path / cache.source, tmp_path / cache.name
+    cache.write(source, "poverty")
+    old = cache.load(source, tmp_path)
+    old_cache = cache_file.read_bytes()
+    size = source.stat().st_size
+    cache.write(source, "systems")  # other content, same size
+    assert source.stat().st_size == size
+    expected = cache.parse(source)
+    assert expected != old
+    assert cache.load(source, tmp_path) == expected
+    assert cache_file.read_bytes() != old_cache
+    assert cache.load(source, tmp_path) == expected
 
 
 @pytest.mark.parametrize("damage", [
@@ -299,38 +336,50 @@ def test_stale_index_file_rebuilt(tmp_path):
     pytest.param(lambda b: b[:len(b) // 2], id="truncated"),
     pytest.param(lambda b: b[:40], id="truncated-header"),
     pytest.param(lambda b: b"", id="empty"),
-    pytest.param(lambda b: b"MF-IDX\0\1" + b[8:], id="wrong-magic"),
+    pytest.param(lambda b: b[:8].upper() + b[8:], id="wrong-magic"),
     pytest.param(lambda b: b[:8] + (b"b" if b[8:9] == b"l" else b"l") + b[9:],
                  id="other-byte-order"),
 ])
 def test_corrupt_index_file_refused_and_rebuilt(tmp_path, damage):
-    path = _fight(tmp_path, "poverty")
+    # each kind of cache file in turn: the store's index and the topic vectors
+    for kind, cache in CACHES.items():
+        workdir = tmp_path / kind
+        workdir.mkdir()
+        source, cache_file = workdir / cache.source, workdir / cache.name
+        cache.write(source, "poverty")
+        expected = cache.load(source, workdir)
+        good = cache_file.read_bytes()
+        cache_file.write_bytes(damage(good))
+        assert textio.read_cache(cache_file, cache.magic, source) is None, kind
+        assert cache.load(source, workdir) == expected, kind
+        assert cache_file.read_bytes() == good, kind
+
+
+def test_one_cache_kind_is_never_read_as_another(tmp_path):
+    source = _fight(tmp_path, "poverty")
+    Store.load(source).index
     index_file = tmp_path / "store.tsv.idx"
-    expected = _queries(Store.load(path))
-    good = index_file.read_bytes()
-    index_file.write_bytes(damage(good))
-    assert StoreIndex.read(index_file, path.read_bytes()) is None
-    assert _queries(Store.load(path)) == expected
-    assert index_file.read_bytes() == good
+    assert textio.read_cache(index_file, STORE_MAGIC, source) is not None
+    assert textio.read_cache(index_file, TOPICS_MAGIC, source) is None
 
 
-def test_index_file_that_cannot_be_written_is_skipped(tmp_path):
-    path = _fight(tmp_path, "poverty")
-    (tmp_path / "store.tsv.idx").mkdir()
-    assert Store.load(path).tuples_containing("poverty") == \
-        ((vn("cure", "poverty"), 1), (vn("fight", "poverty"), 1))
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tsv", "store.tsv.idx"]
+def test_cache_file_that_cannot_be_written_is_skipped(tmp_path, cache):
+    source = tmp_path / cache.source
+    cache.write(source, "poverty")
+    (tmp_path / cache.name).mkdir()
+    assert cache.load(source, tmp_path) == cache.parse(source)
+    assert {p.name for p in tmp_path.iterdir()} == {cache.source, cache.name}
 
 
-def test_store_read_from_lines_writes_no_index_file(tmp_path, monkeypatch):
+def test_read_from_lines_writes_no_cache_file(tmp_path, monkeypatch, cache):
     monkeypatch.chdir(tmp_path)
-    path = _fight(tmp_path, "poverty")
-    with open(path, encoding="utf-8") as fh:
-        store = Store.load(fh)
-    assert store.tuples_containing("poverty")
-    store = Store.load(io.StringIO("VN\tfight\tpoverty\t3\n"))
-    assert store.tuples_containing("poverty") == ((vn("fight", "poverty"), 1),)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tsv"]
+    source = tmp_path / cache.source
+    cache.write(source, "poverty")
+    expected = cache.parse(source)
+    with open(source, encoding="utf-8") as fh:
+        assert cache.load(fh, tmp_path) == expected
+    assert cache.load(io.StringIO(source.read_text("utf-8")), tmp_path) == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cache.source]
 
 
 def test_index_file_bytes_identical_across_processes(tmp_path):

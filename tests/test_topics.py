@@ -2,9 +2,10 @@ import io
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mf import TopicMatrix, load_topic_matrix
 from mf.errors import FormatError
@@ -90,6 +91,12 @@ def test_negative_probability_rejected():
         assert err.value.row == 2
 
 
+def test_word_in_two_rows_reports_the_second():
+    with pytest.raises(FormatError, match="word 'alpha' listed again") as err:
+        load_topic_matrix(io.StringIO("T=1\nalpha\t0.5\nbeta\t0.5\nalpha\t0.25\n"))
+    assert err.value.row == 4
+
+
 @pytest.mark.parametrize("text", ["T=0\n", "T=0\nalpha\n", "T=-1\nalpha\t0.5\n"])
 def test_topic_count_below_one_refused_at_the_header(text):
     with pytest.raises(FormatError, match="topic count must be >= 1") as err:
@@ -112,6 +119,25 @@ def test_save_load_roundtrip(rows, name):
     assert back.vocabulary() == tm.vocabulary()
     for w in tm.vocabulary():
         assert back.vector(w) == tm.vector(w)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda t: st.tuples(st.just(t), st.dictionaries(
+    LEXEMES, st.lists(st.floats(0, 1), min_size=t, max_size=t), max_size=6))))
+@example((3, {}))  # a header-only matrix
+def test_cache_round_trip(matrix):
+    # parse, write the cache file, then read the cache file without parsing
+    topics, rows = matrix
+    with tempfile.TemporaryDirectory() as tmp:
+        path, cache = Path(tmp) / "phi.tsv", Path(tmp) / "topics.vec"
+        save_topic_matrix(TopicMatrix(topics, rows), path)
+        parsed = load_topic_matrix(path, cache)
+        with mock.patch("mf.topics._parse", side_effect=AssertionError("parsed")):
+            cached = load_topic_matrix(path, cache)
+    assert cached.topics == parsed.topics == topics
+    assert cached.vocabulary() == parsed.vocabulary() == set(rows)
+    for w in rows:
+        assert cached.vector(w).tobytes() == parsed.vector(w).tobytes()
 
 
 def test_fixture_matrix(topic_matrix):
