@@ -20,7 +20,7 @@ from array import array
 from bisect import bisect_left
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import textio
 from .errors import FormatError, StoreStateError
@@ -73,6 +73,9 @@ _COLUMNS = (("row_label", "i"), ("row_freq", "q"), ("row_start", "i"),
             ("slots", "i"), ("slot_pattern", "i"),
             ("pattern_start", "i"), ("pattern_rows", "i"), ("pattern_total", "q"),
             ("lexeme_start", "i"), ("lexeme_rows", "i"), ("lexeme_pos", "b"))
+_TYPECODES = "".join(typecode for _, typecode in _COLUMNS)
+# the largest frequency and slot count those columns hold
+_MAX_FREQ, _MAX_SLOTS = 2**63 - 1, 128
 # magic and format version of the index file, a `textio` cache file
 _MAGIC = b"mf-idx\x00\x01"
 
@@ -91,6 +94,10 @@ class StoreIndex:
     frequency `pattern_total[p]`. Lexeme x fills slot `lexeme_pos[n]` of
     row `lexeme_rows[n]` for n from `lexeme_start[x]` to
     `lexeme_start[x + 1]`, in (row, position) order.
+
+    The columns are `array`s in an index just built, and read-only
+    `memoryview`s over the index file's bytes in an index read from its
+    file.
     """
 
     def __init__(self, labels: list[str], lexemes: list[str], columns):
@@ -122,8 +129,13 @@ class StoreIndex:
         pattern_start, by_pattern = _group(slot_pattern, len(pattern_id))
         pattern_rows = array("i", map(slot_row.__getitem__, by_pattern))
         pattern_total = array("q", bytes(8 * len(pattern_id)))
-        for p, r in zip(slot_pattern, slot_row):
-            pattern_total[p] += row_freq[r]
+        try:
+            for p, r in zip(slot_pattern, slot_row):
+                pattern_total[p] += row_freq[r]
+        except OverflowError:
+            i = slot_pattern[row_start[r]:row_start[r + 1]].index(p)
+            raise FormatError(f"the frequencies of pattern {rows[r][0].pattern(i).text} "
+                              f"sum past {_MAX_FREQ}") from None
         lexeme_start, by_lexeme = _group(slots, len(lexemes))
         return cls(labels, lexemes, (
             row_label, row_freq, row_start, slots, slot_pattern,
@@ -151,24 +163,20 @@ class StoreIndex:
         return [(r, i, pattern[start[r] + i])
                 for r, i in zip(self.lexeme_rows[lo:hi], self.lexeme_pos[lo:hi])]
 
-    def rows_of(self, pattern: int) -> array:
+    def rows_of(self, pattern: int) -> Sequence[int]:
         return self.pattern_rows[self.pattern_start[pattern]:
                                  self.pattern_start[pattern + 1]]
 
-    def pattern_id(self, key: PatternKey) -> Optional[int]:
-        label, words = key
-        if words.count(None) != 1:
-            return None
-        blank = words.index(None)
-        filled = [j for j, w in enumerate(words) if w is not None]
-        # the rows that hold the key's first filled slot where it does
-        candidates = ([r for r, i, _ in self.entries(words[filled[0]])
-                       if i == filled[0]] if filled else range(len(self)))
-        for r in candidates:
-            if (self.row_start[r + 1] - self.row_start[r] == len(words)
-                    and self.pattern_key(r, blank) == key):
-                return self.slot_pattern[self.row_start[r] + blank]
-        return None
+    @cached_property
+    def pattern_ids(self) -> dict[PatternKey, int]:
+        """The id of every pattern key, inserted in id order."""
+        ids: dict[PatternKey, int] = {}
+        start, pattern = self.row_start, self.slot_pattern
+        for r in range(len(self)):
+            for j in range(start[r], start[r + 1]):
+                if pattern[j] == len(ids):
+                    ids[self.pattern_key(r, j - start[r])] = pattern[j]
+        return ids
 
     # -- strings, made only for what a query returns ----------------------
 
@@ -191,36 +199,15 @@ class StoreIndex:
 
     def save(self, path: Path, store_bytes: bytes) -> None:
         """Write the index atomically, for the store file of these bytes."""
-        texts = ["".join(s + "\n" for s in strings).encode("utf-8")
-                 for strings in (self.labels, self.lexemes)]
-        columns = [getattr(self, name) for name, _ in _COLUMNS]
-        sizes = array("q", [len(t) for t in texts] + [len(c) for c in columns])
-        textio.write_cache(path, _MAGIC, store_bytes, [sizes, *texts, *columns])
+        textio.write_cache(path, _MAGIC, store_bytes, (self.labels, self.lexemes),
+                           [getattr(self, name) for name, _ in _COLUMNS])
 
     @classmethod
     def read(cls, path: Path, store: Path) -> Optional["StoreIndex"]:
         """The index in the file, or None when there is none, or when
         `textio.read_cache` refuses it for the store file `store`."""
-        payload = textio.read_cache(path, _MAGIC, store)
-        if payload is None:
-            return None
-        try:
-            sizes = array("q")
-            sizes.frombytes(payload[:sizes.itemsize * (2 + len(_COLUMNS))])
-            at = len(sizes) * sizes.itemsize
-            texts = []
-            for size in sizes[:2]:
-                texts.append(str(payload[at:at + size], "utf-8").split("\n")[:-1])
-                at += size
-            columns = []
-            for (_, typecode), size in zip(_COLUMNS, sizes[2:]):
-                column = array(typecode)
-                column.frombytes(payload[at:at + size * column.itemsize])
-                columns.append(column)
-                at += size * column.itemsize
-        except ValueError:  # sizes that do not fit the payload
-            return None
-        return cls(*texts, columns) if at == len(payload) else None
+        cached = textio.read_cache(path, _MAGIC, store, 2, _TYPECODES)
+        return None if cached is None else cls(*cached[0], cached[1])
 
 
 def _group(keys: array, n_keys: int) -> tuple[array, array]:
@@ -255,15 +242,23 @@ class Store:
             raise StoreStateError("cannot mutate a frozen store")
 
     def add(self, prop: Proposition, frequency: int = 1) -> "Store":
-        """Count a tuple; FormatError if its label takes another slot count."""
+        """Count a tuple; FormatError if its label takes another slot count,
+        if the frequency is below 1, or if its slot count or summed
+        frequency does not fit the index."""
         self._require_mutable()
         if frequency < 1:
-            raise ValueError(f"frequency must be >= 1, got {frequency}")
+            raise FormatError(f"frequency must be >= 1, got {frequency}")
         if len(prop.slots) != label_arity(prop.label):
             raise FormatError(
                 f"label {prop.label} takes {label_arity(prop.label)} slots, "
                 f"got {len(prop.slots)}")
-        self._counts[prop] = self._counts.get(prop, 0) + frequency
+        if len(prop.slots) > _MAX_SLOTS:
+            raise FormatError(f"{len(prop.slots)} slots, more than the {_MAX_SLOTS} "
+                              f"the store index holds")
+        count = self._counts.get(prop, 0) + frequency
+        if count > _MAX_FREQ:
+            raise FormatError(f"frequency {count} of {prop.text} is over {_MAX_FREQ}")
+        self._counts[prop] = count
         return self
 
     def update(self, occurrences: Iterable[Occurrence]) -> "Store":
@@ -289,10 +284,7 @@ class Store:
             raise StoreStateError("store must be frozen before queries")
         index = StoreIndex.build(self._counts)
         if self._index_file is not None:
-            try:
-                index.save(*self._index_file)
-            except OSError:
-                pass  # the file is only a cache: the next load parses the store
+            index.save(*self._index_file)
             self._index_file = None
         return index
 
@@ -335,23 +327,17 @@ class Store:
         """All tuples whose blanking at the key's blank position yields it,
         in tuple order."""
         index = self.index
-        p = index.pattern_id(key)
+        p = index.pattern_ids.get(key)
         return () if p is None else tuple(map(index.proposition, index.rows_of(p)))
 
     def pattern_total(self, key: PatternKey) -> int:
         """Summed frequency of all tuples matching the key."""
-        p = self.index.pattern_id(key)
+        p = self.index.pattern_ids.get(key)
         return 0 if p is None else self.index.pattern_total[p]
 
     def pattern_keys(self) -> Iterator[PatternKey]:
         """Every pattern key, in the order of its first (tuple, position)."""
-        index = self.index
-        seen = 0
-        for r in range(len(index)):
-            for j in range(index.row_start[r], index.row_start[r + 1]):
-                if index.slot_pattern[j] == seen:
-                    seen += 1
-                    yield index.pattern_key(r, j - index.row_start[r])
+        return iter(self.index.pattern_ids)
 
     # -- persistence -------------------------------------------------------
 
@@ -391,8 +377,6 @@ class Store:
             except ValueError:
                 raise FormatError(
                     f"non-integer frequency {freq_text!r}", rowno) from None
-            if freq < 1:
-                raise FormatError(f"frequency must be >= 1, got {freq}", rowno)
             try:
                 store.add(Proposition(label, slots), freq)
             except FormatError as exc:

@@ -19,8 +19,12 @@ succeeded, so a failed stage never leaves a half-written artifact behind;
 A cache file holds a payload derived from a source file, for a later read
 in place of parsing that file again. Its header holds a magic string with
 the format version, this machine's byte order, the sha256 of the source
-file's bytes and the sha256 of the payload. A cache file is read only when
-all four match, and it is always safe to delete.
+file's bytes and the sha256 of the payload. The payload holds the int64
+byte size of each string table and the length of each typed column, then
+the tables, one string per line, then the columns in this machine's byte
+order, which a read returns as views over the file's bytes. A cache file is
+read only when the header matches and the sizes fit the tables and columns
+the reader expects, and it is always safe to delete.
 """
 
 import gzip
@@ -30,9 +34,10 @@ import os
 import struct
 import sys
 import zlib
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Optional, Union
+from typing import IO, Any, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import FormatError
 
@@ -147,26 +152,37 @@ def writer(target: TextTarget) -> Iterator[IO[str]]:
 
 
 def write_cache(target: TextTarget, magic: bytes, source: bytes,
-                payload: list) -> None:
+                tables: Sequence[Iterable[str]], columns: Sequence) -> None:
     """Write a cache file atomically: the header for `magic` and the source
-    file of bytes `source`, then the payload, a list of bytes-like pieces
-    written one after another without being joined."""
+    file of bytes `source`, then the payload of string tables and columns
+    (arrays or memoryviews), the columns written as they lie in memory. A
+    cache file that cannot be written is skipped: the next read parses the
+    source again."""
+    texts = ["".join(s + "\n" for s in table).encode("utf-8") for table in tables]
+    payload = [array("q", [len(t) for t in texts] + [len(c) for c in columns]),
+               *texts, *columns]
     digest = _sha256()
     for piece in payload:
         digest.update(piece)
-    with atomic(target) as fh:
-        fh.write(_CACHE_HEADER.pack(magic, _BYTE_ORDER, _sha256(source).digest(),
-                                    digest.digest()))
-        fh.writelines(payload)
+    try:
+        with atomic(target) as fh:
+            fh.write(_CACHE_HEADER.pack(magic, _BYTE_ORDER, _sha256(source).digest(),
+                                        digest.digest()))
+            fh.writelines(payload)
+    except OSError:
+        pass
 
 
-def read_cache(cache: TextTarget, magic: bytes,
-               source: TextTarget) -> Optional[memoryview]:
-    """The payload of the cache file `cache` for the file `source`, or None
-    when there is no cache file, or when its header does not hold `magic`,
-    this machine's byte order, the sha256 of the source file's bytes and the
-    sha256 of the payload that follows. The source file is hashed a chunk
-    at a time, so its bytes are never held whole beside the cache's."""
+def read_cache(cache: TextTarget, magic: bytes, source: TextTarget, tables: int,
+               typecodes: str) -> Optional[tuple[list[list[str]], list[memoryview]]]:
+    """The `tables` string tables and the columns of the array typecodes
+    `typecodes` that `write_cache` wrote to the cache file `cache` for the
+    file `source`, each column a view over the cache file's bytes. None when
+    there is no cache file, when its header does not hold `magic`, this
+    machine's byte order, the sha256 of the source file's bytes and the
+    sha256 of the payload, or when the payload's sizes do not fit these
+    tables and columns. The source file is hashed a chunk at a time, so its
+    bytes are never held whole beside the cache's."""
     try:
         blob = Path(cache).read_bytes()
     except OSError:
@@ -181,7 +197,17 @@ def read_cache(cache: TextTarget, magic: bytes,
     if _CACHE_HEADER.unpack_from(blob) != (magic, _BYTE_ORDER, source_digest.digest(),
                                            _sha256(payload).digest()):
         return None
-    return payload
+    widths = [1] * tables + [array(t).itemsize for t in typecodes]
+    at, pieces = 8 * len(widths), []
+    try:
+        for size, width in zip(payload[:at].cast("q"), widths):
+            pieces.append(payload[at:at + size * width])
+            at += size * width
+        strings = [str(piece, "utf-8").split("\n")[:-1] for piece in pieces[:tables]]
+        columns = [piece.cast(t) for piece, t in zip(pieces[tables:], typecodes)]
+    except (TypeError, ValueError):  # sizes that do not fit the payload
+        return None
+    return (strings, columns) if at == len(payload) else None
 
 
 def _sha256(data=b""):

@@ -72,7 +72,7 @@ class TopicMatrix:
 
 
 # magic and format version of the cache file
-_CACHE_MAGIC = b"mf-vec\x00\x01"
+_CACHE_MAGIC = b"mf-vec\x00\x02"
 
 
 def load_topic_matrix(source: TextSource, cache: Optional[Path] = None) -> TopicMatrix:
@@ -86,40 +86,18 @@ def load_topic_matrix(source: TextSource, cache: Optional[Path] = None) -> Topic
     path = textio.as_path(source)
     if path is None or cache is None:
         return _parse(source)
-    payload = textio.read_cache(cache, _CACHE_MAGIC, path)
-    tm = None if payload is None else _from_cache(payload)
-    if tm is not None:
-        return tm
+    cached = textio.read_cache(cache, _CACHE_MAGIC, path, 1, "qd")
+    if cached is not None:
+        (words,), (count, vectors) = cached
+        if len(count) == 1 and count[0] >= 1 and len(vectors) == len(words) * count[0]:
+            tm = TopicMatrix(count[0], {})
+            tm._start = dict(zip(words, range(0, len(vectors), tm.topics)))
+            tm._vectors = vectors
+            return tm
     data = path.read_bytes()
     tm = _parse(textio.lines(path, data))
-    words = "".join(w + "\n" for w in tm._start).encode("utf-8")
-    try:
-        textio.write_cache(cache, _CACHE_MAGIC, data,
-                           [array("q", [tm.topics, len(words)]), words, tm._vectors])
-    except OSError:
-        pass  # the file is only a cache: the next load parses the matrix
-    return tm
-
-
-def _from_cache(payload: memoryview) -> Optional[TopicMatrix]:
-    """The matrix a cache file's payload holds: the topic count and the
-    byte size of the words, the words one per line, then their vectors in
-    the same order, which stay in the payload. None when the sizes do not
-    fit the payload."""
-    sizes = array("q")
-    try:
-        sizes.frombytes(payload[:2 * sizes.itemsize])
-        topics, size = sizes
-        at = 2 * sizes.itemsize + size
-        words = str(payload[2 * sizes.itemsize:at], "utf-8").split("\n")[:-1]
-    except ValueError:
-        return None
-    vectors = payload[at:]
-    if topics < 1 or len(vectors) != len(words) * topics * array("d").itemsize:
-        return None
-    tm = TopicMatrix(topics, {})
-    tm._start = dict(zip(words, range(0, len(words) * topics, topics)))
-    tm._vectors = vectors.cast("d")
+    textio.write_cache(cache, _CACHE_MAGIC, data, [tm._start],
+                       [array("q", [tm.topics]), tm._vectors])
     return tm
 
 

@@ -229,6 +229,23 @@ def test_properties_unknown_lexeme_warns_exit_zero(workdir, capsys):
     assert (workdir / "properties.zzz.tsv").read_text(encoding="utf-8") == ""
 
 
+@pytest.mark.parametrize("rows, message", [
+    pytest.param("VN\ta\tb\t9223372036854775808\n", "error: row 1: frequency",
+                 id="frequency"),
+    pytest.param("VN\ta\tb\t9223372036854775807\nVN\tc\tb\t1\n",
+                 "error: the frequencies of pattern VN _ b sum past", id="pattern-total"),
+    pytest.param("N" * 129 + "\tb" * 129 + "\t1\n", "error: row 1: 129 slots",
+                 id="slots"),
+])
+def test_store_that_does_not_fit_the_index_exits_2(workdir, capsys, rows, message):
+    workdir.mkdir()
+    (workdir / "store.tsv").write_text(rows, encoding="utf-8")
+    assert run("properties", "--target", "b", "--workdir", workdir,
+               "--no-generalize") == 2
+    assert message in capsys.readouterr().err
+    assert not (workdir / "properties.b.tsv").exists()
+
+
 def test_pipeline_stages_and_rerun_identical(workdir):
     # the fixture pipeline gives the bytes under tests/expected twice: on a
     # fresh work directory, and again with the index of store.tsv and the
@@ -237,7 +254,7 @@ def test_pipeline_stages_and_rerun_identical(workdir):
     corpus = FIXTURES / "poverty.conllu"
     args = ["--workdir", workdir, "--no-generalize"]
     artifacts = ["store.tsv", "properties.poverty.tsv", "sources.poverty.tsv",
-                 "cms.poverty.json", "lms.poverty.jsonl"]
+                 "cms.poverty.json", "lms.poverty.jsonl", "gold_report.txt"]
     for rerun in (False, True):
         assert (workdir / "store.tsv.idx").exists() == rerun
         assert (workdir / "topics.vec").exists() == rerun
@@ -250,6 +267,8 @@ def test_pipeline_stages_and_rerun_identical(workdir):
             "--taxonomy", FIXTURES / "taxonomy.tsv", *args)
         run("find-lms", "--target", "poverty", "--corpus", corpus,
             "--expansion-table", FIXTURES / "expansion.tsv", *args)
+        run("eval-gold", "--gold", FIXTURES / "gold" / "gold.tsv",
+            "--expansion-table", FIXTURES / "gold" / "gold_expansion.tsv", *args)
         for name in artifacts:
             assert (workdir / name).read_bytes() == (EXPECTED / name).read_bytes(), name
 

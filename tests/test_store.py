@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import io
 import os
 import random
@@ -19,7 +20,7 @@ from mf import (PatternKey, Proposition, Store, generate_sources, load_topic_mat
 from mf.errors import FormatError, StoreStateError
 from mf.extraction import DEFAULT_RULES
 from mf.labels import label_arity
-from mf.store import _MAGIC as STORE_MAGIC
+from mf.store import _MAGIC as STORE_MAGIC, _TYPECODES as STORE_TYPECODES
 from mf.topics import _CACHE_MAGIC as TOPICS_MAGIC
 
 from .lexemes import LEXEMES
@@ -187,6 +188,33 @@ def test_bad_arity_reports_row():
     assert err.value.row == 2
 
 
+@pytest.mark.parametrize("rows, row, message", [
+    pytest.param("VN\tfight\tpoverty\t3\nVN\ta\tb\t0\n", 2,
+                 "frequency must be >= 1, got 0", id="zero-frequency"),
+    pytest.param("VN\tfight\tpoverty\t3\nVN\ta\tb\t9223372036854775808\n", 2,
+                 "is over 9223372036854775807", id="frequency"),
+    pytest.param("VN\ta\tb\t9223372036854775800\nVN\ta\tb\t8\n", 2,
+                 "is over 9223372036854775807", id="summed-frequency"),
+    pytest.param("N" * 129 + "\tw" * 129 + "\t1\n", 1, "129 slots", id="slots"),
+])
+def test_frequency_or_slot_count_out_of_range_reports_row(rows, row, message):
+    with pytest.raises(FormatError, match=message) as err:
+        Store.load(io.StringIO(rows))
+    assert err.value.row == row
+
+
+def test_pattern_total_that_does_not_fit_the_index_rejected():
+    rows = "VN\ta\tb\t9223372036854775807\nVN\tc\tb\t1\n"
+    store = Store.load(io.StringIO(rows))
+    with pytest.raises(FormatError, match="pattern VN _ b sum past"):
+        store.tuples_containing("b")
+    # the widest values that fit are indexed
+    store = Store.load(io.StringIO("VN\ta\tb\t9223372036854775807\n"
+                                   + "N" * 128 + "\tw" * 128 + "\t1\n"))
+    assert store.pattern_total(PatternKey("VN", (None, "b"))) == 2**63 - 1
+    assert len(store.tuples_containing("w")) == 128
+
+
 def test_non_integer_frequency_reports_row():
     with pytest.raises(FormatError) as err:
         Store.load(io.StringIO("VN\tfight\tpoverty\tmany\n"))
@@ -294,19 +322,22 @@ class _Cache(NamedTuple):
     write: Callable[[Path, str], None]
     load: Callable[[Any, Path], Any]
     parse: Callable[[Path], Any]
+    shape: tuple[int, str]  # the tables and column typecodes of its payload
 
 
 CACHES = {
     "idx": _Cache("store.tsv", "store.tsv.idx", STORE_MAGIC,
                   lambda path, lexeme: _fight(path.parent, lexeme),
                   lambda source, workdir: _queries(Store.load(source)),
-                  lambda path: _queries(Store.load(path.read_text("utf-8").splitlines()))),
+                  lambda path: _queries(Store.load(path.read_text("utf-8").splitlines())),
+                  (2, STORE_TYPECODES)),
     "vec": _Cache("topics.tsv", "topics.vec", TOPICS_MAGIC,
                   lambda path, lexeme: path.write_text(
                       f"T=2\n{lexeme}\t0.25\t0.75\nwar\t0.5\t0.5\n", encoding="utf-8"),
                   lambda source, workdir: _vectors(
                       load_topic_matrix(source, workdir / "topics.vec")),
-                  lambda path: _vectors(load_topic_matrix(path))),
+                  lambda path: _vectors(load_topic_matrix(path)),
+                  (1, "qd")),
 }
 
 
@@ -350,7 +381,7 @@ def test_corrupt_index_file_refused_and_rebuilt(tmp_path, damage):
         expected = cache.load(source, workdir)
         good = cache_file.read_bytes()
         cache_file.write_bytes(damage(good))
-        assert textio.read_cache(cache_file, cache.magic, source) is None, kind
+        assert textio.read_cache(cache_file, cache.magic, source, *cache.shape) is None, kind
         assert cache.load(source, workdir) == expected, kind
         assert cache_file.read_bytes() == good, kind
 
@@ -359,8 +390,41 @@ def test_one_cache_kind_is_never_read_as_another(tmp_path):
     source = _fight(tmp_path, "poverty")
     Store.load(source).index
     index_file = tmp_path / "store.tsv.idx"
-    assert textio.read_cache(index_file, STORE_MAGIC, source) is not None
-    assert textio.read_cache(index_file, TOPICS_MAGIC, source) is None
+    shape = CACHES["idx"].shape
+    assert textio.read_cache(index_file, STORE_MAGIC, source, *shape) is not None
+    assert textio.read_cache(index_file, TOPICS_MAGIC, source, *shape) is None
+
+
+@pytest.mark.parametrize("reshape", [
+    pytest.param(lambda tables, columns: (tables + [["extra"]], columns), id="extra-table"),
+    pytest.param(lambda tables, columns: (tables, columns[:-1]), id="missing-column"),
+])
+def test_cache_file_of_another_shape_refused_and_rebuilt(tmp_path, cache, reshape):
+    # the header's digests match, but the payload's sizes do not fit the reader
+    source, cache_file = tmp_path / cache.source, tmp_path / cache.name
+    cache.write(source, "poverty")
+    expected = cache.load(source, tmp_path)
+    good = cache_file.read_bytes()
+    tables, columns = textio.read_cache(cache_file, cache.magic, source, *cache.shape)
+    textio.write_cache(cache_file, cache.magic, source.read_bytes(),
+                       *reshape(tables, columns))
+    assert textio.read_cache(cache_file, cache.magic, source, *cache.shape) is None
+    assert cache.load(source, tmp_path) == expected
+    assert cache_file.read_bytes() == good
+
+
+@pytest.mark.skipif(sys.byteorder != "little",
+                    reason="the pinned cache files hold little-endian columns")
+def test_cache_file_bytes_match_the_pinned_digests(tmp_path):
+    # a change to a cache file's layout must change its magic and this pin
+    expected = Path(__file__).parent / "expected"
+    shutil.copyfile(expected / "store.tsv", tmp_path / "store.tsv")
+    Store.load(tmp_path / "store.tsv").index
+    load_topic_matrix(Path(__file__).parent / "fixtures" / "topics.tsv",
+                      tmp_path / "topics.vec")
+    for line in (expected / "caches.sha256").read_text("utf-8").splitlines():
+        digest, name = line.split()
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_cache_file_that_cannot_be_written_is_skipped(tmp_path, cache):
