@@ -80,25 +80,6 @@ _FLAGS = {
     "--seed": dict(type=int, help="sampling seed"),
     "--per-pair": dict(type=int),
 }
-_SOURCES = ("--target", "--topic-matrix", "--threshold", "--top-sources")
-
-# each stage's help and the flags its cmd_* reads, besides --config,
-# --workdir and --no-generalize, which every stage takes
-_STAGES = {
-    "extract": ("corpus -> proposition store",
-                ("--corpus", "--rules", "--min-freq")),
-    "generalize": ("store + taxonomy -> generalized store", ("--taxonomy",)),
-    "properties": ("ranked tuples containing a lexeme", ("--target",)),
-    "sources": ("ranked candidate source lexemes", _SOURCES),
-    "cms": ("clustered conceptual metaphors",
-            _SOURCES + ("--taxonomy", "--k", "--top-cms")),
-    "find-lms": ("retrieve dependency-linked candidates",
-                 ("--target", "--corpus", "--expansion-table", "--sidecar",
-                  "--seed", "--per-pair")),
-    "eval-gold": ("score gold domain mappings",
-                  ("--gold", "--expansion-table", "--topic-matrix", "--threshold",
-                   "--top-sources")),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mf",
         description="Build proposition stores and generate conceptual metaphors.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, flags) in _STAGES.items():
+    for name, (_, help_text, flags) in _STAGES.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--workdir", help="artifact directory (default: out)")
@@ -309,25 +290,24 @@ def cmd_find_lms(cfg: PipelineConfig) -> int:
     for target in targets:
         name = f"cms.{target}.json"
         cm_path = _need(str(wd / name), name)
+        cms = []
         try:
-            cms = [(rec["target"], rec["source_node"],
-                    {m["lexeme"] for m in rec["members"]})
-                   for rec in textio.load_json(cm_path)]
-            for _, node, members in cms:
+            for rec in textio.load_json(cm_path):
+                node, members = rec["source_node"], {m["lexeme"] for m in rec["members"]}
                 if not all(isinstance(name, str) for name in (node, *members)):
                     raise TypeError("source_node and lexemes must be strings")
+                # hits are routed to lms.<t>.jsonl by their target domain
+                if rec["target"] != [target]:
+                    raise MFError(f"{cm_path}: a conceptual metaphor has target "
+                                  f"{rec['target']!r}, expected {[target]!r}")
+                cms.append((node, members))
         except (KeyError, TypeError) as exc:
             raise MFError(f"{cm_path}: expected a list of conceptual metaphors with "
                           f"target, source_node and members[].lexeme ({exc!r})") from None
-        # hits are routed to lms.<t>.jsonl by their target domain
-        for cm_target, _, _ in cms:
-            if cm_target != [target]:
-                raise MFError(f"{cm_path}: a conceptual metaphor has target "
-                              f"{cm_target!r}, expected {[target]!r}")
         t_lexemes = expand_domain({target}, table, store, cfg.top_patterns, memo)
         specs += [(t_lexemes,
                    expand_domain(members, table, store, cfg.top_patterns, memo),
-                   target, source_node) for _, source_node, members in cms]
+                   target, node) for node, members in cms]
     found = dict.fromkeys(targets, 0)
 
     def hits():
@@ -376,14 +356,25 @@ def cmd_eval_gold(cfg: PipelineConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "extract": cmd_extract,
-    "generalize": cmd_generalize,
-    "properties": cmd_properties,
-    "sources": cmd_sources,
-    "cms": cmd_cms,
-    "find-lms": cmd_find_lms,
-    "eval-gold": cmd_eval_gold,
+_SOURCES = ("--target", "--topic-matrix", "--threshold", "--top-sources")
+
+# each stage's handler, its help and the flags its handler reads, besides
+# --config, --workdir and --no-generalize, which every stage takes
+_STAGES = {
+    "extract": (cmd_extract, "corpus -> proposition store",
+                ("--corpus", "--rules", "--min-freq")),
+    "generalize": (cmd_generalize, "store + taxonomy -> generalized store",
+                   ("--taxonomy",)),
+    "properties": (cmd_properties, "ranked tuples containing a lexeme", ("--target",)),
+    "sources": (cmd_sources, "ranked candidate source lexemes", _SOURCES),
+    "cms": (cmd_cms, "clustered conceptual metaphors",
+            _SOURCES + ("--taxonomy", "--k", "--top-cms")),
+    "find-lms": (cmd_find_lms, "retrieve dependency-linked candidates",
+                 ("--target", "--corpus", "--expansion-table", "--sidecar",
+                  "--seed", "--per-pair")),
+    "eval-gold": (cmd_eval_gold, "score gold domain mappings",
+                  ("--gold", "--expansion-table", "--topic-matrix", "--threshold",
+                   "--top-sources")),
 }
 
 
@@ -392,7 +383,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _configure(args)
-        return _HANDLERS[args.subcommand](cfg)
+        return _STAGES[args.subcommand][0](cfg)
     except (MFError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,8 @@
 """CoNLL-U reading: 10-column, tab-separated, UTF-8.
 
 Only the ID, FORM, LEMMA, UPOS, HEAD and DEPREL columns are used.
-Multiword-token ranges (ID "1-2") and empty nodes (ID "1.1") are skipped.
+Multiword-token ranges (ID "1-2") and empty nodes (ID "1.1") are skipped;
+any other ID that is not a number is a ConlluParseError.
 Lemmas are lower-cased on load; a "_" lemma falls back to the form.
 A "# sent_id = <id>" comment names the sentence below it; the key must be
 exactly "sent_id", so "# sent_id_orig = 7" is an ordinary comment. A
@@ -10,12 +11,15 @@ the file name ("a.conllu:s3") when read from a path, so sentences from
 different shards keep distinct ids.
 """
 
+import re
 from itertools import chain
 from typing import Iterator, NamedTuple
 
 from . import textio
 from .errors import ConlluParseError, SentenceStructureError
 from .textio import TextSource
+
+_SKIPPED_ID = re.compile(r"\d+[-.]\d+")  # a multiword-token range or an empty node
 
 
 class Token(NamedTuple):
@@ -105,12 +109,11 @@ def iter_sentences(source: TextSource) -> Iterator[Sentence]:
             raise ConlluParseError(
                 f"expected 10 tab-separated columns, got {len(cols)}", lineno)
         tok_id, form, lemma, upos, _, _, head, deprel = cols[:8]
-        if "-" in tok_id or "." in tok_id:
-            continue  # multiword-token range / empty node
-        try:
-            index = int(tok_id)
-        except ValueError:
-            raise ConlluParseError(f"non-numeric ID {tok_id!r}", lineno) from None
+        if not tok_id.isdecimal():
+            if _SKIPPED_ID.fullmatch(tok_id):
+                continue
+            raise ConlluParseError(f"non-numeric ID {tok_id!r}", lineno)
+        index = int(tok_id)
         try:
             head_idx = int(head)
         except ValueError:

@@ -1,12 +1,12 @@
 """Proposition extraction from dependency arcs.
 
-Sentences are first normalized into a flat arc set the way argument-binding
-parsers present them: deprel subtypes are stripped, passives are folded into
-the active frame (nsubj:pass fills the object slot, obl:agent the subject
-slot), and subjects are propagated down xcomp chains so controlled verbs see
-their logical subject. Declarative rules then match connected arc templates
-over that set, joining one arc at a time, and emit pattern-labeled lemma
-tuples.
+Sentences are first normalized into a map from each head to its arcs, the
+way argument-binding parsers present them: deprel subtypes are stripped,
+passives are folded into the active frame (nsubj:pass fills the object
+slot, obl:agent the subject slot), and subjects are propagated down xcomp
+chains so controlled verbs see their logical subject. Declarative rules
+then match connected arc templates over that map, joining one arc at a
+time, and emit pattern-labeled lemma tuples.
 
 Rules are data: each names a pattern label, a list of arcs over variables,
 per-variable UPOS constraints, and the variable-to-slot order. The shipped
@@ -80,11 +80,12 @@ def _order_arcs(label: str, arcs: tuple[RuleArc, ...]) -> tuple[RuleArc, ...]:
     return tuple(ordered)
 
 
-def normalize_arcs(sentence: Sentence) -> set[tuple[int, int, str]]:
-    """Flatten a sentence (a tree) into (head, dep, rel) arcs with binding
-    applied: a controlled predicate without a subject of its own takes those
-    of the nearest controller up its xcomp chain that has any."""
-    arcs: set[tuple[int, int, str]] = set()
+def normalize_arcs(sentence: Sentence) -> dict[int, list[tuple[int, str]]]:
+    """Map each head to its (dependent, rel) arcs, in token order, with
+    binding applied: a controlled predicate without a subject of its own
+    takes those of the nearest controller up its xcomp chain that has any,
+    as arcs after its own."""
+    children: dict[int, list[tuple[int, str]]] = {}
     subjects: dict[int, list[int]] = {}
     controller: dict[int, int] = {}
     for tok in sentence.tokens:
@@ -96,7 +97,7 @@ def normalize_arcs(sentence: Sentence) -> set[tuple[int, int, str]]:
             base = "obj"
         elif base == "obl" and rel.endswith(":agent"):
             base = "nsubj"
-        arcs.add((tok.head, tok.index, base))
+        children.setdefault(tok.head, []).append((tok.index, base))
         if base == "nsubj":
             subjects.setdefault(tok.head, []).append(tok.index)
         elif base == "xcomp":
@@ -107,8 +108,8 @@ def normalize_arcs(sentence: Sentence) -> set[tuple[int, int, str]]:
         while head not in subjects and head in controller:
             head = controller[head]
         for subj in subjects.get(head, ()):
-            arcs.add((dep, subj, "nsubj"))
-    return arcs
+            children.setdefault(dep, []).append((subj, "nsubj"))
+    return children
 
 
 def _slot_lemma(sentence: Sentence, index: int, role: str,
@@ -132,11 +133,7 @@ def extract_propositions(sentence: Sentence,
     """
     if rules is None:
         rules = DEFAULT_RULES
-    arcs = normalize_arcs(sentence)
-    children: dict[int, list[tuple[int, str]]] = {}
-    for head, dep, rel in arcs:
-        children.setdefault(head, []).append((dep, rel))
-
+    children = normalize_arcs(sentence)
     found: dict[tuple[str, tuple[int, ...]], Occurrence] = {}
     for rule in rules:
         roles = label_roles(rule.label)

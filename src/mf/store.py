@@ -387,10 +387,9 @@ class Store:
 
 
 def merge_stores(stores: Iterable[Store]) -> Store:
-    """Combine shard stores into one fresh unfrozen store."""
+    """Count shard stores' tuples into one fresh unfrozen store, through `add`."""
     merged = Store()
-    counts = merged._counts
     for shard in stores:
         for prop, freq in shard._counts.items():
-            counts[prop] = counts.get(prop, 0) + freq
+            merged.add(prop, freq)
     return merged

@@ -341,7 +341,8 @@ def test_tracer_wraps_names_that_resolve():
 
 
 def test_artifacts_identical_across_processes(workdir, tmp_path):
-    # hash randomization must not leak into float accumulation order
+    # hash randomization must not leak into extraction or into float
+    # accumulation order
     corpus = FIXTURES / "poverty.conllu"
     outputs = []
     for seed in ("1", "2"):
@@ -354,7 +355,8 @@ def test_artifacts_identical_across_processes(workdir, tmp_path):
         subprocess.run(base + ["sources", "--target", "poverty",
                                "--topic-matrix", str(FIXTURES / "topics.tsv")]
                        + flags, check=True, env=env, capture_output=True)
-        outputs.append((wd / "sources.poverty.tsv").read_bytes())
+        outputs.append([(wd / name).read_bytes()
+                        for name in ("store.tsv", "sources.poverty.tsv")])
     assert outputs[0] == outputs[1]
 
 

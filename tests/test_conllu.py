@@ -51,6 +51,15 @@ def test_multiword_ranges_and_empty_nodes_skipped():
     assert [t.index for t in sent.tokens] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("tok_id", ["-2", "2-", "x-y", "1.x", "."])
+def test_malformed_id_reports_line(tok_id):
+    # neither a number, nor an N-M range, nor an N.M empty node
+    text = f"{tok_id}\tz\tz\tNOUN\t_\t_\t_\t_\t_\t_\n" + TWO_TOKEN
+    with pytest.raises(ConlluParseError, match="non-numeric ID") as err:
+        list(iter_sentences(text.splitlines(keepends=True)))
+    assert err.value.line == 1
+
+
 def test_wrong_column_count_reports_line():
     with pytest.raises(ConlluParseError) as err:
         list(iter_sentences(["1\tx\tx\tNOUN\t0\troot\n"]))

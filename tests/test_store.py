@@ -59,6 +59,12 @@ def test_shard_merge():
     assert merged.freq(vn("fight", "crime")) == 1
 
 
+def test_merge_refuses_a_frequency_over_the_index_limit():
+    shards = [Store().add(vn("fight", "poverty"), 2**62) for _ in range(2)]
+    with pytest.raises(FormatError, match="VN fight poverty"):
+        merge_stores(shards)
+
+
 def test_merge_associative_commutative():
     rng = random.Random(7)
     shards = [make_random_store(rng, max_tuples=20, vocab=6) for _ in range(3)]
