@@ -2,7 +2,8 @@
 
 Only the ID, FORM, LEMMA, UPOS, HEAD and DEPREL columns are used.
 Multiword-token ranges (ID "1-2") and empty nodes (ID "1.1") are skipped;
-any other ID that is not a number is a ConlluParseError.
+any other ID, and any HEAD, that is not a string of digits is a
+ConlluParseError.
 Lemmas are lower-cased on load; a "_" lemma falls back to the form.
 A "# sent_id = <id>" comment names the sentence below it; the key must be
 exactly "sent_id", so "# sent_id_orig = 7" is an ordinary comment. A
@@ -113,10 +114,7 @@ def iter_sentences(source: TextSource) -> Iterator[Sentence]:
             if _SKIPPED_ID.fullmatch(tok_id):
                 continue
             raise ConlluParseError(f"non-numeric ID {tok_id!r}", lineno)
-        index = int(tok_id)
-        try:
-            head_idx = int(head)
-        except ValueError:
-            raise ConlluParseError(f"non-numeric HEAD {head!r}", lineno) from None
+        if not head.isdecimal():
+            raise ConlluParseError(f"non-numeric HEAD {head!r}", lineno)
         lemma = lemma if lemma and lemma != "_" else form
-        rows.append(Token(index, form, lemma.lower(), upos, head_idx, deprel))
+        rows.append(Token(int(tok_id), form, lemma.lower(), upos, int(head), deprel))

@@ -1,12 +1,14 @@
 """Proposition extraction from dependency arcs.
 
-Sentences are first normalized into a map from each head to its arcs, the
-way argument-binding parsers present them: deprel subtypes are stripped,
+Sentences are first normalized into an arc index, the way
+argument-binding parsers present them: deprel subtypes are stripped,
 passives are folded into the active frame (nsubj:pass fills the object
 slot, obl:agent the subject slot), and subjects are propagated down xcomp
 chains so controlled verbs see their logical subject. Declarative rules
-then match connected arc templates over that map, joining one arc at a
-time, and emit pattern-labeled lemma tuples.
+then match connected arc templates over that index and emit
+pattern-labeled lemma tuples. Each rule is compiled once into a join plan:
+its first arc is bound from the sentence's arcs of that relation, and each
+later arc is one (head, relation) lookup per binding.
 
 Rules are data: each names a pattern label, a list of arcs over variables,
 per-variable UPOS constraints, and the variable-to-slot order. The shipped
@@ -15,7 +17,8 @@ and NVAdv.
 """
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import textio
 from .conllu import Sentence
@@ -38,12 +41,36 @@ class RuleArc:
             raise FormatError(f"arc {self.head}->{self.dep} is a self-loop")
 
 
+_NEW = -1  # the dependent of a step that binds a new variable
+
+
+class _Step(NamedTuple):
+    """One arc of a join plan, over positions in a binding tuple."""
+    head: int
+    dep: int  # _NEW, or the position of an already-bound dependent
+    rels: tuple[str, ...]
+    upos: frozenset[str] | None  # None accepts any UPOS
+
+
+class JoinPlan(NamedTuple):
+    """A rule compiled for matching. The first arc binds positions 0 (its
+    head, the anchor) and 1 of a binding tuple, and each later step binds or
+    checks one more variable."""
+    anchor_upos: frozenset[str] | None
+    first: _Step
+    first_key: str  # the same for rules whose first arcs bind the same pairs
+    steps: tuple[_Step, ...]  # the arcs after the first
+    pick: Callable[[tuple[int, ...]], tuple[int, ...]]  # a binding's slot indices
+    preps: tuple[int, ...]  # the slots with the P role
+
+
 @dataclass(frozen=True)
 class ExtractionRule:
     label: str
     arcs: tuple[RuleArc, ...]
     upos: Mapping[str, frozenset[str]] = field(default_factory=dict)
     slots: tuple[str, ...] = ()
+    plan: JoinPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         variables = {v for arc in self.arcs for v in (arc.head, arc.dep)}
@@ -57,10 +84,7 @@ class ExtractionRule:
             raise FormatError(f"rule {self.label}: slot or UPOS variable not in an arc")
         # arcs must be orderable so each one has its head already bound
         object.__setattr__(self, "arcs", _order_arcs(self.label, self.arcs))
-
-    @property
-    def anchor(self) -> str:
-        return self.arcs[0].head
+        object.__setattr__(self, "plan", _compile(self))
 
 
 def _order_arcs(label: str, arcs: tuple[RuleArc, ...]) -> tuple[RuleArc, ...]:
@@ -80,47 +104,72 @@ def _order_arcs(label: str, arcs: tuple[RuleArc, ...]) -> tuple[RuleArc, ...]:
     return tuple(ordered)
 
 
-def normalize_arcs(sentence: Sentence) -> dict[int, list[tuple[int, str]]]:
-    """Map each head to its (dependent, rel) arcs, in token order, with
-    binding applied: a controlled predicate without a subject of its own
-    takes those of the nearest controller up its xcomp chain that has any,
-    as arcs after its own."""
-    children: dict[int, list[tuple[int, str]]] = {}
-    subjects: dict[int, list[int]] = {}
+def _compile(rule: ExtractionRule) -> JoinPlan:
+    """Number the variables in the order the ordered arcs bind them. A
+    missing or empty UPOS set accepts any UPOS."""
+    order = [rule.arcs[0].head]
+    steps = []
+    for arc in rule.arcs:
+        dep = order.index(arc.dep) if arc.dep in order else _NEW
+        steps.append(_Step(order.index(arc.head), dep, tuple(sorted(arc.rels)),
+                           rule.upos.get(arc.dep) or None))
+        if dep == _NEW:
+            order.append(arc.dep)
+    first = steps[0]
+    anchor = rule.upos.get(order[0]) or None
+    key = repr([first.rels, sorted(anchor or ()), sorted(first.upos or ())])
+    roles = label_roles(rule.label)
+    positions = [order.index(v) for v in rule.slots]
+    # itemgetter of one index returns the item, and of a one-item slice a 1-tuple
+    pick = itemgetter(*positions) if len(positions) > 1 else itemgetter(
+        slice(positions[0], positions[0] + 1))
+    return JoinPlan(anchor, first, key, tuple(steps[1:]), pick,
+                    tuple(i for i, role in enumerate(roles) if role == ROLE_PREP))
+
+
+ArcIndex = tuple[dict[str, list[tuple[int, int]]], dict[tuple[int, str], list[int]]]
+
+
+def normalize_arcs(sentence: Sentence) -> ArcIndex:
+    """Index the sentence's arcs by relation, as (head, dependent) pairs, and
+    by (head, relation), as dependents, with binding applied: a controlled
+    predicate without a subject of its own takes those of the nearest
+    controller up its xcomp chain that has any, as arcs after its own. The
+    walk stops at a head it has already seen, so an xcomp cycle ends it.
+    An arc whose head is not a token of the sentence is left out."""
+    by_rel: dict[str, list[tuple[int, int]]] = {}
+    by_head: dict[tuple[int, str], list[int]] = {}
     controller: dict[int, int] = {}
-    for tok in sentence.tokens:
-        if tok.head == 0:
+    n = len(sentence.tokens)
+    for dep, _, _, _, head, rel in sentence.tokens:
+        if not 0 < head <= n:
             continue
-        rel = tok.deprel.lower()
-        base = rel.split(":")[0]
+        rel = rel.lower()
+        base = rel.partition(":")[0]
         if base == "nsubj" and rel.endswith(":pass"):
             base = "obj"
         elif base == "obl" and rel.endswith(":agent"):
             base = "nsubj"
-        children.setdefault(tok.head, []).append((tok.index, base))
-        if base == "nsubj":
-            subjects.setdefault(tok.head, []).append(tok.index)
         elif base == "xcomp":
-            controller[tok.index] = tok.head
+            controller[dep] = head
+        by_rel.setdefault(base, []).append((head, dep))
+        by_head.setdefault((head, base), []).append(dep)
     for dep, head in controller.items():
-        if dep in subjects:
+        if (dep, "nsubj") in by_head:
             continue
-        while head not in subjects and head in controller:
+        seen = {dep}
+        while (head, "nsubj") not in by_head and head in controller and head not in seen:
+            seen.add(head)
             head = controller[head]
-        for subj in subjects.get(head, ()):
-            children.setdefault(dep, []).append((subj, "nsubj"))
-    return children
+        for subj in by_head.get((head, "nsubj"), ()):
+            by_rel.setdefault("nsubj", []).append((dep, subj))
+            by_head.setdefault((dep, "nsubj"), []).append(subj)
+    return by_rel, by_head
 
 
-def _slot_lemma(sentence: Sentence, index: int, role: str,
-                children: Mapping[int, list[tuple[int, str]]]) -> str:
-    lemma = sentence.token_at(index).lemma
-    if role == ROLE_PREP:
-        # multiword prepositions hang off the case token via `fixed`
-        extra = sorted(dep for dep, rel in children.get(index, ()) if rel == "fixed")
-        if extra:
-            lemma = " ".join([lemma] + [sentence.token_at(d).lemma for d in extra])
-    return lemma
+# a token-shaped row put before a sentence's tokens, so that transposed
+# columns are indexed by token number
+_PAD = (0, "", "", "", 0, "")
 
 
 def extract_propositions(sentence: Sentence,
@@ -133,44 +182,62 @@ def extract_propositions(sentence: Sentence,
     """
     if rules is None:
         rules = DEFAULT_RULES
-    children = normalize_arcs(sentence)
+    by_rel, by_head = normalize_arcs(sentence)
+    _, _, lemmas, upos, _, _ = zip(_PAD, *sentence.tokens)
     found: dict[tuple[str, tuple[int, ...]], Occurrence] = {}
+    firsts: dict[str, list[tuple[int, int]]] = {}
     for rule in rules:
-        roles = label_roles(rule.label)
-        for binding in _match(rule, sentence, children):
-            indices = tuple(binding[v] for v in rule.slots)
-            key = (rule.label, indices)
-            if key not in found:
-                slots = tuple(_slot_lemma(sentence, idx, roles[i], children)
-                              for i, idx in enumerate(indices))
-                found[key] = Occurrence(Proposition(rule.label, slots),
-                                        sentence.id, indices)
+        plan, label = rule.plan, rule.label
+        # rules that start with the same arc, as NV, NVV, NVPN, NVVPN and
+        # NVAdv do, bind it once
+        bindings = firsts.get(plan.first_key)
+        if bindings is None:
+            bindings = firsts[plan.first_key] = []
+            head_ok, dep_ok = plan.anchor_upos, plan.first.upos
+            for rel in plan.first.rels:
+                for head, dep in by_rel.get(rel, ()):
+                    if (head != dep and (head_ok is None or upos[head] in head_ok)
+                            and (dep_ok is None or upos[dep] in dep_ok)):
+                        bindings.append((head, dep))
+        if bindings and plan.steps:
+            bindings = _extend(plan.steps, bindings, by_head, upos)
+        for binding in bindings:
+            indices = plan.pick(binding)
+            key = (label, indices)
+            if key in found:
+                continue
+            slots = [lemmas[i] for i in indices]
+            for slot in plan.preps:
+                # multiword prepositions hang off the case token via `fixed`
+                extra = by_head.get((indices[slot], "fixed"))
+                if extra:
+                    slots[slot] = " ".join([slots[slot]] + [lemmas[d] for d in sorted(extra)])
+            found[key] = tuple.__new__(Occurrence, (
+                tuple.__new__(Proposition, (label, tuple(slots))), sentence.id, indices))
     return [found[key] for key in sorted(found)]
 
 
-def _match(rule: ExtractionRule, sentence: Sentence,
-           children: Mapping[int, list[tuple[int, str]]]) -> list[dict[str, int]]:
-    """Bind the anchor to each token its UPOS set accepts, then extend every
-    binding through each arc in turn: a bound dependent must be the child, an
-    unbound one a child no variable holds. A missing or empty UPOS set
-    accepts any UPOS."""
-    tokens = sentence.tokens
-    allowed = rule.upos.get(rule.anchor)
-    bindings = [{rule.anchor: tok.index} for tok in tokens
-                if not allowed or tok.upos in allowed]
-    for arc in rule.arcs:
-        allowed = rule.upos.get(arc.dep)
+def _extend(steps: tuple[_Step, ...], bindings: list[tuple[int, ...]],
+            by_head: dict[tuple[int, str], list[int]],
+            upos: tuple[str, ...]) -> list[tuple[int, ...]]:
+    """Extend every binding through each step by one (head, relation)
+    lookup: a bound dependent must be the child, a new one a child no
+    position holds."""
+    for head, dep, rels, ok in steps:
         extended = []
         for binding in bindings:
-            bound = binding.get(arc.dep)
-            for dep, rel in children.get(binding[arc.head], ()):
-                if rel not in arc.rels or allowed and tokens[dep - 1].upos not in allowed:
-                    continue
-                if bound is None:
-                    if dep not in binding.values():
-                        extended.append({**binding, arc.dep: dep})
-                elif bound == dep:
-                    extended.append(binding)
+            bound = binding[head]
+            for rel in rels:
+                for child in by_head.get((bound, rel), ()):
+                    if ok is not None and upos[child] not in ok:
+                        continue
+                    if dep == _NEW:
+                        if child not in binding:
+                            extended.append(binding + (child,))
+                    elif binding[dep] == child:
+                        extended.append(binding)
+        if not extended:
+            return extended
         bindings = extended
     return bindings
 

@@ -73,6 +73,15 @@ def test_non_numeric_head_reports_line():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("head", ["0_0", "+1", " 1"])
+def test_signed_or_spaced_head_reports_line(head):
+    # int() reads "0_0" as 0 (a root) and "+1" and " 1" as 1; none is a CoNLL-U HEAD
+    bad = TWO_TOKEN.replace("\t1\tobj", f"\t{head}\tobj")
+    with pytest.raises(ConlluParseError, match="non-numeric HEAD") as err:
+        list(iter_sentences(bad.splitlines(keepends=True)))
+    assert err.value.line == 2
+
+
 def test_dangling_head_reports_sentence():
     text = ("# sent_id = bad1\n"
             "1\ta\ta\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mf import DEFAULT_RULES, Proposition, extract_propositions, iter_sentences, load_rules
+import mf
+from mf import (DEFAULT_RULES, Proposition, Sentence, Token, extract_propositions,
+                iter_sentences, load_rules)
 from mf.errors import FormatError
-from mf.extraction import ExtractionRule, RuleArc, _slot_lemma, normalize_arcs
+from mf.extraction import ExtractionRule, RuleArc, normalize_arcs
 from mf.labels import label_roles
 from mf.store import Occurrence
 
@@ -123,11 +129,13 @@ def test_adjective_and_compound_rules():
 
 
 def _flat_arcs(sentence):
-    """The (head, dep, rel) arcs of `normalize_arcs`' map, each of which
-    must appear in it once."""
-    arcs = [(head, dep, rel) for head, deps in normalize_arcs(sentence).items()
-            for dep, rel in deps]
+    """The (head, dep, rel) arcs of `normalize_arcs`' index, each of which
+    must appear in it once, and the same arcs in both of its maps."""
+    by_rel, by_head = normalize_arcs(sentence)
+    arcs = [(head, dep, rel) for rel, pairs in by_rel.items() for head, dep in pairs]
     assert len(set(arcs)) == len(arcs)
+    assert sorted(arcs) == sorted((head, dep, rel) for (head, rel), deps in by_head.items()
+                                  for dep in deps)
     return set(arcs)
 
 
@@ -144,6 +152,49 @@ def test_normalize_arcs_propagates_subject_down_chain():
     assert (6, 1, "nsubj") in arcs
     props = {occ.prop for occ in extract_propositions(sent)}
     assert Proposition("NV", ("john", "run")) in props
+
+
+# each token is the other's xcomp head; iter_sentences refuses the cycle, but
+# extract_propositions takes any Sentence
+XCOMP_CYCLE = Sentence("cycle", (Token(1, "try", "try", "VERB", 2, "xcomp"),
+                                 Token(2, "start", "start", "VERB", 1, "xcomp")))
+
+
+def test_xcomp_cycle_ends_the_subject_walk():
+    # in a child process, so that a walk that never ends fails the test
+    # instead of hanging the suite
+    code = ("from mf import Sentence, Token, extract_propositions\n"
+            f"print(extract_propositions({XCOMP_CYCLE!r}))\n")
+    package_root = str(Path(mf.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-B", "-c", code], check=True, timeout=10,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=package_root))
+    assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("head", [4, -1])
+def test_arc_to_a_head_outside_the_sentence_is_left_out(head):
+    # not validate()d; -1 must not be read as the last token, the VERB
+    sent = Sentence("d", (Token(1, "john", "john", "PROPN", head, "nsubj"),
+                          Token(2, "runs", "run", "VERB", 0, "root"),
+                          Token(3, "fast", "fast", "VERB", head, "nsubj")))
+    assert _flat_arcs(sent) == set()
+    assert extract_propositions(sent) == []
+
+
+def test_one_slot_rule_emits_one_slot_tuples():
+    rule = ExtractionRule("N", (RuleArc("v", "s", frozenset({"nsubj"})),), {}, ("s",))
+    assert _props(MAJORITY, [rule]) == {Proposition("N", ("majority",))}
+
+
+def test_rules_share_a_first_arc_only_when_it_binds_the_same_pairs():
+    # a rule's first-arc bindings are reused by later rules with the same
+    # relations and UPOS sets; "nsubj,obj" is one relation name, not two
+    def nv(rels):
+        return ExtractionRule("NV", (RuleArc("v", "s", frozenset(rels)),), {}, ("s", "v"))
+    one_name, two_names = nv({"nsubj,obj"}), nv({"nsubj", "obj"})
+    assert _props(MAJORITY, [one_name, two_names]) == {Proposition("NV", ("majority", "live"))}
+    assert _props(MAJORITY, [two_names, one_name]) == {Proposition("NV", ("majority", "live"))}
 
 
 def test_rule_validation_errors():
@@ -229,6 +280,14 @@ def _reference_normalize(sentence):
     return arcs
 
 
+def _reference_slot_lemma(sentence, index, role, arcs):
+    lemmas = {tok.index: tok.lemma for tok in sentence.tokens}
+    parts = [index]
+    if role == "P":
+        parts += sorted(dep for head, dep, rel in arcs if head == index and rel == "fixed")
+    return " ".join(lemmas[i] for i in parts)
+
+
 def _reference_match(rule, sentence, children):
     def upos_ok(var, index):
         allowed = rule.upos.get(var)
@@ -253,14 +312,16 @@ def _reference_match(rule, sentence, children):
                 yield from extend(arc_i + 1, binding)
                 del binding[arc.dep]
 
+    anchor = rule.arcs[0].head
     for tok in sentence.tokens:
-        if upos_ok(rule.anchor, tok.index):
-            yield from extend(0, {rule.anchor: tok.index})
+        if upos_ok(anchor, tok.index):
+            yield from extend(0, {anchor: tok.index})
 
 
 def _reference_extract(sentence, rules):
+    arcs = _reference_normalize(sentence)
     children = {}
-    for head, dep, rel in _reference_normalize(sentence):
+    for head, dep, rel in arcs:
         children.setdefault(head, []).append((dep, rel))
     seen, results = set(), []
     for rule in rules:
@@ -270,7 +331,7 @@ def _reference_extract(sentence, rules):
             if (rule.label, indices) in seen:
                 continue
             seen.add((rule.label, indices))
-            slots = tuple(_slot_lemma(sentence, idx, roles[i], children)
+            slots = tuple(_reference_slot_lemma(sentence, idx, roles[i], arcs)
                           for i, idx in enumerate(indices))
             results.append(Occurrence(Proposition(rule.label, slots), sentence.id, indices))
     results.sort(key=lambda occ: (occ.prop.label, occ.token_indices))
@@ -316,6 +377,7 @@ def rules(draw):
 @settings(max_examples=500, deadline=None)
 @given(SENTENCES)
 @example(THREE_LINK_CHAIN)
+@example(XCOMP_CYCLE)
 def test_default_rules_match_the_reference(sentence):
     assert _flat_arcs(sentence) == _reference_normalize(sentence)
     assert extract_propositions(sentence) == _reference_extract(sentence, DEFAULT_RULES)
