@@ -5,7 +5,7 @@ linguistic metaphors."""
 from .conllu import Sentence, Token, iter_sentences
 from .engine import (SourceConcept, WeightedSource, WeightedTuple, build_cms,
                      cluster_sources, filter_sources, generate_sources,
-                     rank_sources, salient_properties, tuple_weight)
+                     rank_sources, salient_properties)
 from .extraction import (DEFAULT_RULES, ExtractionRule, RuleArc,
                          extract_propositions, load_rules)
 from .generalize import generalize_store
@@ -27,5 +27,4 @@ __all__ = [
     "generate_sources", "iter_sentences", "load_expansion_table", "load_gold",
     "load_rules", "load_taxonomy", "load_topic_matrix", "map_noun",
     "merge_stores", "rank_sources", "salient_properties", "sample_hits",
-    "tuple_weight",
 ]

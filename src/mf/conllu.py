@@ -117,4 +117,5 @@ def iter_sentences(source: TextSource) -> Iterator[Sentence]:
         if not head.isdecimal():
             raise ConlluParseError(f"non-numeric HEAD {head!r}", lineno)
         lemma = lemma if lemma and lemma != "_" else form
-        rows.append(Token(int(tok_id), form, lemma.lower(), upos, int(head), deprel))
+        rows.append(tuple.__new__(
+            Token, (int(tok_id), form, lemma.lower(), upos, int(head), deprel)))

@@ -45,7 +45,6 @@ class WeightedSource:
     lexeme: str
     weight: float
     evidence: dict[PatternKey, float] = field(default_factory=dict)
-    evidence_freq: int = 0
 
 
 @dataclass
@@ -54,17 +53,6 @@ class SourceConcept:
     members: tuple[WeightedSource, ...]
     shared_patterns: frozenset[PatternKey]
     weight: float
-
-
-def tuple_weight(lexeme: str, prop: Proposition, position: int, store: Store) -> float:
-    """Frequency of the tuple over the total of its blanked-slot pattern."""
-    freq = store.freq(prop)
-    if freq == 0:
-        raise ValueError(f"tuple not in store: {prop.text}")
-    if not 0 <= position < len(prop.slots) or prop.slots[position] != lexeme:
-        raise ValueError(
-            f"lexeme {lexeme!r} does not fill slot {position} of {prop.text}")
-    return freq / store.pattern_total(prop.pattern(position))
 
 
 def salient_properties(lexeme: str, store: Store,
@@ -119,7 +107,7 @@ def _ranked_sources(lexeme: str, store: Store,
             # each seed entry once
             entry[2].append(k)
     keys: dict[int, PatternKey] = {}  # seed entry -> its pattern, made once
-    for s, (weight, freq, seen) in sorted(
+    for s, (weight, _, seen) in sorted(
             acc.items(), key=lambda item: (-item[1][0], -item[1][1], item[0])):
         name = index.lexemes[s]
         if keep is not None and not keep(name):
@@ -131,7 +119,7 @@ def _ranked_sources(lexeme: str, store: Store,
                 r, i, _ = entries[k]
                 key = keys[k] = index.pattern_key(r, i)
             evidence[key] = weights[k]
-        yield WeightedSource(name, weight, evidence, freq)
+        yield WeightedSource(name, weight, evidence)
 
 
 def _unrelated(target: str, tm: TopicMatrix | None,

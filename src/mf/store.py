@@ -51,10 +51,6 @@ class PatternKey(NamedTuple):
     slots: tuple[Optional[str], ...]
 
     @property
-    def blank_position(self) -> int:
-        return self.slots.index(None)
-
-    @property
     def text(self) -> str:
         rendered = tuple(BLANK_TEXT if s is None else s for s in self.slots)
         return " ".join((self.label,) + rendered)
@@ -312,9 +308,6 @@ class Store:
     def __eq__(self, other) -> bool:
         return isinstance(other, Store) and self._counts == other._counts
 
-    def lexemes(self) -> set[str]:
-        return {l for prop in self._counts for l in prop.slots}
-
     # -- queries (frozen only) -------------------------------------------
 
     def tuples_containing(self, lexeme: str) -> tuple[tuple[Proposition, int], ...]:
@@ -329,11 +322,6 @@ class Store:
         index = self.index
         p = index.pattern_ids.get(key)
         return () if p is None else tuple(map(index.proposition, index.rows_of(p)))
-
-    def pattern_total(self, key: PatternKey) -> int:
-        """Summed frequency of all tuples matching the key."""
-        p = self.index.pattern_ids.get(key)
-        return 0 if p is None else self.index.pattern_total[p]
 
     def pattern_keys(self) -> Iterator[PatternKey]:
         """Every pattern key, in the order of its first (tuple, position)."""

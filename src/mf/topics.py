@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Optional
 
 from . import textio
 from .errors import FormatError
-from .textio import TextSource, TextTarget
+from .textio import TextSource
 
 
 class TopicMatrix:
@@ -130,10 +130,3 @@ def _parse(source: TextSource) -> TopicMatrix:
     tm._vectors = memoryview(vectors)
     return tm
 
-
-def save_topic_matrix(tm: TopicMatrix, target: TextTarget) -> None:
-    with textio.writer(target) as fh:
-        fh.write(f"T={tm.topics}\n")
-        for word in sorted(tm.vocabulary()):
-            probs = "\t".join(map(repr, tm.vector(word)))
-            fh.write(f"{word}\t{probs}\n")

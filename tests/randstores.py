@@ -37,6 +37,11 @@ def brute_force_tuple_weight(prop: Proposition, position: int,
     return store.freq(prop) / total
 
 
+def store_lexemes(store: Store) -> list[str]:
+    """The store's lexemes, sorted, from a scan of its rows."""
+    return sorted({slot for prop, _ in store for slot in prop.slots})
+
+
 def brute_force_sources(lexeme: str, store: Store) -> dict[str, float]:
     """Double loop over all tuple pairs, per the summation definition."""
     weights: dict[str, float] = {}

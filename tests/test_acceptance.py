@@ -13,11 +13,11 @@ from mf import (Proposition, Store, TopicMatrix, build_cms, cluster_sources,
                 eval_gold, extract_propositions, filter_sources, find_lms,
                 generalize_store, generate_sources, iter_sentences,
                 load_expansion_table, load_gold, load_taxonomy,
-                salient_properties, sample_hits, tuple_weight)
+                salient_properties, sample_hits)
 from mf.cli import main
 
 from .conftest import FIXTURES
-from .randstores import brute_force_sources, make_random_store
+from .randstores import brute_force_sources, make_random_store, store_lexemes
 
 
 @contextmanager
@@ -74,11 +74,14 @@ def test_c03_weight_normalization_property():
         rng = random.Random(20260810)
         for _ in range(1000):
             store = make_random_store(rng)
-            for key in store.pattern_keys():
-                total = sum(
-                    tuple_weight(t.slots[key.blank_position], t,
-                                 key.blank_position, store)
-                    for t in store.tuples_matching(key))
+            # the weights the stages rank by, summed per blanked pattern
+            totals = {}
+            for lexeme in store.index.lexemes:
+                for wt in salient_properties(lexeme, store, None):
+                    key = wt.prop.pattern(wt.position)
+                    totals[key] = totals.get(key, 0.0) + wt.weight
+            assert set(totals) == set(store.pattern_keys())
+            for total in totals.values():
                 assert abs(total - 1.0) <= 1e-9
 
 
@@ -87,7 +90,7 @@ def test_c04_source_weights_match_oracle():
         rng = random.Random(4042)
         for _ in range(200):
             store = make_random_store(rng)
-            for lexeme in sorted(store.lexemes())[:3]:
+            for lexeme in store_lexemes(store)[:3]:
                 expected = brute_force_sources(lexeme, store)
                 got = {s.lexeme: s.weight
                        for s in generate_sources(lexeme, store)}

@@ -1,0 +1,39 @@
+"""The library surface: the names `mf` exports, and the README's Library
+example, run as written from the repository root."""
+
+import json
+import re
+from dataclasses import fields
+from pathlib import Path
+
+import mf
+
+ROOT = Path(__file__).parents[1]
+
+
+def test_exports_resolve_once_without_the_deleted_names():
+    assert len(set(mf.__all__)) == len(mf.__all__)
+    for name in mf.__all__:
+        assert getattr(mf, name) is not None, name
+    # names deleted because no stage called them
+    assert not {"tuple_weight", "save_topic_matrix"} & set(mf.__all__)
+    assert not hasattr(mf.engine, "tuple_weight")
+    assert not hasattr(mf.topics, "save_topic_matrix")
+    assert not hasattr(mf.Store, "pattern_total")
+    assert not hasattr(mf.Store, "lexemes")
+    assert not hasattr(mf.PatternKey, "blank_position")
+    assert "evidence_freq" not in {f.name for f in fields(mf.WeightedSource)}
+
+
+def test_readme_library_block_runs(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```$", library, re.S | re.M).group(1)
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = [line.split(" ", 2)[:2] for line in capsys.readouterr().out.splitlines()]
+    # the block's parameters are the stage defaults, so it prints the CMs
+    # that `mf cms --no-generalize` writes for the README's CLI block
+    expected = json.loads((ROOT / "tests/expected/cms.poverty.json").read_text("utf-8"))
+    assert printed == [[cm["source_node"], str(round(cm["weight"], 3))]
+                       for cm in expected]

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from mf import (PatternKey, Proposition, Store, Taxonomy, TopicMatrix,
                 WeightedSource, build_cms, cluster_sources, filter_sources,
-                generate_sources, load_taxonomy, rank_sources, salient_properties,
-                tuple_weight)
+                generate_sources, load_taxonomy, rank_sources, salient_properties)
 
 from mf.labels import label_arity
 
-from .randstores import brute_force_sources, make_random_store
+from .randstores import (brute_force_sources, brute_force_tuple_weight,
+                         make_random_store, store_lexemes)
 
 
 def vn(v, n, f=1):
@@ -25,29 +25,6 @@ def _store(*entries):
     return store.freeze()
 
 
-def test_tuple_weight_single_tuple():
-    store = _store(vn("fight", "poverty", 7))
-    prop = Proposition("VN", ("fight", "poverty"))
-    assert tuple_weight("poverty", prop, 1, store) == 1.0
-
-
-def test_tuple_weight_shares_pattern_mass():
-    store = _store(vn("fight", "poverty", 3), vn("fight", "terrorism", 6),
-                   vn("fight", "enemy", 1))
-    assert tuple_weight("poverty", Proposition("VN", ("fight", "poverty")),
-                        1, store) == pytest.approx(0.3, abs=1e-12)
-    assert tuple_weight("terrorism", Proposition("VN", ("fight", "terrorism")),
-                        1, store) == pytest.approx(0.6, abs=1e-12)
-
-
-def test_tuple_weight_contract_errors():
-    store = _store(vn("fight", "poverty", 3))
-    with pytest.raises(ValueError):
-        tuple_weight("poverty", Proposition("VN", ("cure", "poverty")), 1, store)
-    with pytest.raises(ValueError):
-        tuple_weight("fight", Proposition("VN", ("fight", "poverty")), 1, store)
-
-
 def test_salient_properties_ranking():
     store = _store(vn("fight", "poverty", 3), vn("fight", "terrorism", 6),
                    vn("cure", "poverty", 5))
@@ -55,6 +32,12 @@ def test_salient_properties_ranking():
     assert [wt.prop.slots[0] for wt in ranked] == ["cure", "fight"]
     assert ranked[0].weight == 1.0
     assert ranked[1].weight == pytest.approx(3 / 9)
+    # tuples of one pattern split its mass by frequency
+    store = _store(vn("fight", "poverty", 3), vn("fight", "terrorism", 6),
+                   vn("fight", "enemy", 1))
+    for lexeme, weight in (("poverty", 0.3), ("terrorism", 0.6)):
+        [wt] = salient_properties(lexeme, store, None)
+        assert wt.weight == pytest.approx(weight, abs=1e-12)
 
 
 def test_salient_properties_poverty_fixture(corpus_store):
@@ -83,9 +66,11 @@ def test_salient_properties_prefix_is_the_full_ranking(entries, lexeme, n):
         store.add(Proposition(label, tuple(words[:label_arity(label)])), freq)
     store.freeze()
     full = salient_properties(lexeme, store, None)
-    # reference: a stable sort of the store's (tuple, position) order
-    reference = sorted(((prop, i, tuple_weight(lexeme, prop, i, store), store.freq(prop))
-                        for prop, i in store.tuples_containing(lexeme)),
+    # reference: a stable sort of the store's (tuple, position) order, with
+    # each weight's pattern total from a linear scan
+    reference = sorted(((prop, i, brute_force_tuple_weight(prop, i, store), freq)
+                        for prop, freq in store
+                        for i, slot in enumerate(prop.slots) if slot == lexeme),
                        key=lambda r: (-r[2], -r[3]))
     assert [(wt.prop, wt.position, wt.weight, wt.frequency) for wt in full] == reference
     assert salient_properties(lexeme, store, n) == full[:n]
@@ -128,24 +113,12 @@ def test_generate_sources_matches_brute_force():
     rng = random.Random(42)
     for _ in range(40):
         store = make_random_store(rng)
-        lexemes = sorted(store.lexemes())
-        for lexeme in lexemes[:3]:
+        for lexeme in store_lexemes(store)[:3]:
             expected = brute_force_sources(lexeme, store)
             got = {s.lexeme: s.weight for s in generate_sources(lexeme, store)}
             assert set(got) == set(expected)
             for s, w in expected.items():
                 assert got[s] == pytest.approx(w, abs=1e-9)
-
-
-def test_pattern_normalization_property():
-    rng = random.Random(99)
-    for _ in range(50):
-        store = make_random_store(rng)
-        for key in store.pattern_keys():
-            total = sum(tuple_weight(t.slots[key.blank_position], t,
-                                     key.blank_position, store)
-                        for t in store.tuples_matching(key))
-            assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_filter_sources_keep_boundary_and_oov():
@@ -181,10 +154,10 @@ def test_filter_sources_identity_cases():
 def test_filter_output_is_sublist():
     rng = random.Random(17)
     store = make_random_store(rng, max_tuples=60, vocab=12)
-    lexeme = sorted(store.lexemes())[0]
+    lexeme = store_lexemes(store)[0]
     sources = generate_sources(lexeme, store)
     tm = TopicMatrix(2, {w: (rng.random(), rng.random())
-                         for w in sorted(store.lexemes())})
+                         for w in store_lexemes(store)})
     kept = filter_sources(sources, lexeme, tm, 0.2)
     index = {id(s): i for i, s in enumerate(sources)}
     positions = [index[id(s)] for s in kept]
@@ -195,7 +168,7 @@ def test_filter_output_is_sublist():
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_rank_sources_is_the_filtered_prefix(seed, data):
     store = make_random_store(random.Random(seed), max_tuples=60, vocab=12)
-    words = sorted(store.lexemes())
+    words = store_lexemes(store)
     # two topics and four probabilities make equal relatedness, and one
     # exactly at the threshold, common; words without a vector are OOV
     vectors = data.draw(st.dictionaries(
@@ -228,7 +201,7 @@ def test_rank_sources_tests_relatedness_only_up_to_the_last_kept():
     rng = random.Random(5)
     for _ in range(100):
         store = make_random_store(rng, max_tuples=80, vocab=8)
-        words = sorted(store.lexemes())
+        words = store_lexemes(store)
         target = rng.choice(words)
         vectors = {w: (rng.random(), rng.random()) for w in words
                    if w == target or rng.random() < 0.8}
@@ -355,7 +328,7 @@ def stores_and_taxonomies(draw):
     parents = {c: draw(st.sets(st.sampled_from(classes[:i]), max_size=2))
                for i, c in enumerate(classes) if i}
     lexicon = {}
-    for lexeme in sorted(store.lexemes()):
+    for lexeme in store_lexemes(store):
         filed = draw(st.sets(st.sampled_from(classes), max_size=2))
         if filed:
             lexicon[lexeme] = filed
@@ -366,7 +339,7 @@ def stores_and_taxonomies(draw):
 @given(stores_and_taxonomies(), st.integers(1, 4), st.integers(1, 4))
 def test_cluster_sources_is_the_cm_ranking(store_tax, k, top_m):
     store, tax = store_tax
-    for lexeme in sorted(store.lexemes())[:3]:
+    for lexeme in store_lexemes(store)[:3]:
         concepts = cluster_sources(generate_sources(lexeme, store), tax, k)
         for c in concepts:
             assert len(c.shared_patterns) >= k

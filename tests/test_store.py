@@ -24,7 +24,7 @@ from mf.store import _MAGIC as STORE_MAGIC, _TYPECODES as STORE_TYPECODES
 from mf.topics import _CACHE_MAGIC as TOPICS_MAGIC
 
 from .lexemes import LEXEMES
-from .randstores import brute_force_containing, make_random_store
+from .randstores import brute_force_containing, make_random_store, store_lexemes
 
 
 def vn(v, n):
@@ -110,16 +110,20 @@ def test_pattern_total_matches_matching_sum():
     rng = random.Random(11)
     for _ in range(20):
         store = make_random_store(rng)
-        for key in store.pattern_keys():
-            assert store.pattern_total(key) == sum(
-                store.freq(t) for t in store.tuples_matching(key))
+        index = store.index
+        # each pattern's total column against a linear scan of the rows
+        for key, p in index.pattern_ids.items():
+            blank = key.slots.index(None)
+            assert index.pattern_total[p] == sum(
+                freq for prop, freq in store
+                if prop.label == key.label and prop.pattern(blank) == key)
 
 
 def test_indexes_agree_with_linear_scan():
     rng = random.Random(13)
     for _ in range(20):
         store = make_random_store(rng)
-        for lexeme in sorted(store.lexemes()):
+        for lexeme in store_lexemes(store):
             assert store.tuples_containing(lexeme) == \
                 tuple(sorted(brute_force_containing(lexeme, store)))
 
@@ -150,7 +154,7 @@ def test_queries_independent_of_insertion_order(entries, rng):
     assert list(first.pattern_keys()) == list(second.pattern_keys())
     for key in first.pattern_keys():
         assert first.tuples_matching(key) == second.tuples_matching(key)
-    for lexeme in sorted(first.lexemes()):
+    for lexeme in store_lexemes(first):
         assert first.tuples_containing(lexeme) == second.tuples_containing(lexeme)
         # exact float equality: the store fixes the accumulation order
         assert [(s.lexeme, s.weight, s.evidence)
@@ -217,7 +221,8 @@ def test_pattern_total_that_does_not_fit_the_index_rejected():
     # the widest values that fit are indexed
     store = Store.load(io.StringIO("VN\ta\tb\t9223372036854775807\n"
                                    + "N" * 128 + "\tw" * 128 + "\t1\n"))
-    assert store.pattern_total(PatternKey("VN", (None, "b"))) == 2**63 - 1
+    index = store.index
+    assert index.pattern_total[index.pattern_ids[PatternKey("VN", (None, "b"))]] == 2**63 - 1
     assert len(store.tuples_containing("w")) == 128
 
 
@@ -250,7 +255,6 @@ def test_save_rows_sorted(tmp_path):
 
 def test_pattern_key_invariants():
     key = PatternKey("VN", ("fight", None))
-    assert key.blank_position == 1
     assert vn("fight", "poverty").pattern(1) == key
     assert vn("cure", "poverty").pattern(1) != key
     for position in (-1, 2):
@@ -271,14 +275,16 @@ def test_add_rejects_slot_count_of_another_label():
 
 def _queries(store):
     """Every query answer of a store, floats compared exactly."""
+    index = store.index
     keys = list(store.pattern_keys())
-    lexemes = sorted({lexeme for prop, _ in store for lexeme in prop.slots})
+    words = store_lexemes(store)
     return (list(store), len(store), keys,
-            [(store.tuples_matching(k), store.pattern_total(k)) for k in keys],
-            [store.tuples_containing(lexeme) for lexeme in lexemes],
-            [[(s.lexeme, s.weight, s.evidence, s.evidence_freq)
-              for s in generate_sources(lexeme, store)] for lexeme in lexemes],
-            [salient_properties(lexeme, store, None) for lexeme in lexemes],
+            [(store.tuples_matching(k), index.pattern_total[p])
+             for k, p in index.pattern_ids.items()],
+            [store.tuples_containing(lexeme) for lexeme in words],
+            [[(s.lexeme, s.weight, s.evidence) for s in generate_sources(lexeme, store)]
+             for lexeme in words],
+            [salient_properties(lexeme, store, None) for lexeme in words],
             store.tuples_containing("absent"),
             store.tuples_matching(PatternKey("VN", ("absent", None))))
 

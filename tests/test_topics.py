@@ -7,9 +7,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mf import TopicMatrix, load_topic_matrix
+from mf import TopicMatrix, load_topic_matrix, textio
 from mf.errors import FormatError
-from mf.topics import save_topic_matrix
 
 from .lexemes import LEXEMES
 
@@ -104,6 +103,14 @@ def test_topic_count_below_one_refused_at_the_header(text):
     assert err.value.row == 1
 
 
+def _write_matrix(path, topics, rows):
+    """A topic-matrix file: the header, then each word's floats in repr."""
+    with textio.writer(path) as fh:
+        fh.write(f"T={topics}\n")
+        for word, probs in rows.items():
+            fh.write("\t".join([word, *map(repr, probs)]) + "\n")
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda t: st.dictionaries(
     LEXEMES, st.lists(st.floats(0, 1), min_size=t, max_size=t), max_size=6)),
@@ -113,7 +120,7 @@ def test_save_load_roundtrip(rows, name):
     tm = TopicMatrix(topics, rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
-        save_topic_matrix(tm, path)
+        _write_matrix(path, topics, rows)
         back = load_topic_matrix(path)
     assert back.topics == tm.topics
     assert back.vocabulary() == tm.vocabulary()
@@ -130,7 +137,7 @@ def test_cache_round_trip(matrix):
     topics, rows = matrix
     with tempfile.TemporaryDirectory() as tmp:
         path, cache = Path(tmp) / "phi.tsv", Path(tmp) / "topics.vec"
-        save_topic_matrix(TopicMatrix(topics, rows), path)
+        _write_matrix(path, topics, rows)
         parsed = load_topic_matrix(path, cache)
         with mock.patch("mf.topics._parse", side_effect=AssertionError("parsed")):
             cached = load_topic_matrix(path, cache)
