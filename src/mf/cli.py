@@ -34,8 +34,6 @@ It is safe to delete.
 import argparse
 import json
 import sys
-from dataclasses import fields
-from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -102,11 +100,10 @@ def _configure(args) -> PipelineConfig:
     """The config file, if any, with every flag the command line set on top."""
     cfg = (load_config(_need(args.config, "config file")) if args.config
            else PipelineConfig())
-    for f in fields(PipelineConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, tuple(value) if isinstance(value, list) else value)
-    return cfg.validate()
+    flags = {name: tuple(value) if isinstance(value, list) else value
+             for name in PipelineConfig._fields
+             if (value := getattr(args, name, None)) is not None}
+    return cfg._replace(**flags).validate()
 
 
 def _corpus_paths(cfg: PipelineConfig) -> list[Path]:
@@ -253,18 +250,32 @@ def cmd_cms(cfg: PipelineConfig) -> int:
         cms = engine.build_cms(engine.cluster_sources(ranked, tax, cfg.k),
                                cfg.top_cms)
         text = {p: p.text for p in set().union(*(c.shared_patterns for c in cms))}
-        records = [{
-            "target": [target],
-            "source_node": c.node,
-            "members": [{"lexeme": m.lexeme, "weight": m.weight}
-                        for m in sorted(c.members, key=lambda m: (-m.weight, m.lexeme))],
-            "patterns": sorted(map(text.__getitem__, c.shared_patterns)),
-            "weight": c.weight,
-        } for c in cms]
-        pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(records)
-        _emit(wd / f"cms.{target}.json", chain(pieces, ["\n"]),
+        body = ",\n  ".join(_cm_json(target, c, text) for c in cms)
+        _emit(wd / f"cms.{target}.json", [f"[\n  {body}\n]\n" if cms else "[]\n"],
               f"{len(cms)} conceptual metaphors")
     return 0
+
+
+# json.dumps of a str, by C: with `indent`, json.dumps runs its pure-Python
+# encoder, which takes about four times as long on a CM list
+_JSON_STR = json.encoder.encode_basestring_ascii
+
+
+def _cm_json(target: str, cm: engine.SourceConcept, text: dict) -> str:
+    """A CM record as `json.dumps(records, indent=2, sort_keys=True)` writes
+    it in the list of records: members by (weight desc, lexeme), patterns by
+    their text. A CM has at least one member and k >= 1 patterns."""
+    members = ",\n      ".join(
+        f'{{\n        "lexeme": {_JSON_STR(m.lexeme)},\n'
+        f'        "weight": {m.weight!r}\n      }}'
+        for m in sorted(cm.members, key=lambda m: (-m.weight, m.lexeme)))
+    patterns = ",\n      ".join(map(_JSON_STR, sorted(map(text.__getitem__,
+                                                             cm.shared_patterns))))
+    return (f'{{\n    "members": [\n      {members}\n    ],\n'
+            f'    "patterns": [\n      {patterns}\n    ],\n'
+            f'    "source_node": {_JSON_STR(cm.node)},\n'
+            f'    "target": [\n      {_JSON_STR(target)}\n    ],\n'
+            f'    "weight": {cm.weight!r}\n  }}')
 
 
 def _load_sidecar(cfg: PipelineConfig) -> dict[str, str]:

@@ -1,7 +1,6 @@
 """Pipeline configuration: flat key=value files with CLI-flag overrides."""
 
-from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import textio
 from .errors import ConfigError
@@ -11,8 +10,7 @@ _INT_KEYS = ("min_freq", "k", "top_sources", "top_cms", "per_pair",
              "top_patterns", "seed", "topics")
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     corpus: tuple[str, ...] = ()
     rules: Optional[str] = None
     taxonomy: Optional[str] = None
@@ -59,8 +57,7 @@ def load_config(source: TextSource) -> PipelineConfig:
 
     Unknown keys and malformed values raise ConfigError naming the field.
     """
-    cfg = PipelineConfig()
-    known = {f.name for f in fields(PipelineConfig)}
+    values = {}
     for lineno, line in enumerate(textio.lines(source), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -69,24 +66,24 @@ def load_config(source: TextSource) -> PipelineConfig:
         key, value = key.strip(), value.strip()
         if not sep:
             raise ConfigError(f"expected key=value on line {lineno}", key or line)
-        if key not in known:
+        if key not in PipelineConfig._fields:
             raise ConfigError("unknown configuration key", key)
         if key in _INT_KEYS:
-            try:
-                setattr(cfg, key, int(value))
-            except ValueError:
-                raise ConfigError(f"expected an integer, got {value!r}", key) from None
+            # ASCII digits only: int() also reads "1_0", "+3" and other scripts' digits
+            if not (value.isascii() and value.isdigit()):
+                raise ConfigError(f"expected an integer, got {value!r}", key)
+            values[key] = int(value)
         elif key == "threshold":
             try:
-                cfg.threshold = float(value)
+                values[key] = float(value)
             except ValueError:
                 raise ConfigError(f"expected a number, got {value!r}", key) from None
         elif key == "generalize":
-            cfg.generalize = _parse_bool(value, key)
+            values[key] = _parse_bool(value, key)
         elif key == "targets":
-            cfg.targets = tuple(t.strip() for t in value.split(",") if t.strip())
+            values[key] = tuple(t.strip() for t in value.split(",") if t.strip())
         elif key == "corpus":
-            cfg.corpus = (value,) if value else ()
+            values[key] = (value,) if value else ()
         else:
-            setattr(cfg, key, value or None)
-    return cfg.validate()
+            values[key] = value or None
+    return PipelineConfig(**values).validate()

@@ -2,7 +2,7 @@
 
 Only the ID, FORM, LEMMA, UPOS, HEAD and DEPREL columns are used.
 Multiword-token ranges (ID "1-2") and empty nodes (ID "1.1") are skipped;
-any other ID, and any HEAD, that is not a string of digits is a
+any other ID, and any HEAD, that is not a string of ASCII digits is a
 ConlluParseError.
 Lemmas are lower-cased on load; a "_" lemma falls back to the form.
 A "# sent_id = <id>" comment names the sentence below it; the key must be
@@ -20,7 +20,8 @@ from . import textio
 from .errors import ConlluParseError, SentenceStructureError
 from .textio import TextSource
 
-_SKIPPED_ID = re.compile(r"\d+[-.]\d+")  # a multiword-token range or an empty node
+# a multiword-token range or an empty node
+_SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")
 
 
 class Token(NamedTuple):
@@ -110,11 +111,12 @@ def iter_sentences(source: TextSource) -> Iterator[Sentence]:
             raise ConlluParseError(
                 f"expected 10 tab-separated columns, got {len(cols)}", lineno)
         tok_id, form, lemma, upos, _, _, head, deprel = cols[:8]
-        if not tok_id.isdecimal():
+        # ASCII digits only: int() also reads "１" and other scripts' digits
+        if not (tok_id.isascii() and tok_id.isdigit()):
             if _SKIPPED_ID.fullmatch(tok_id):
                 continue
             raise ConlluParseError(f"non-numeric ID {tok_id!r}", lineno)
-        if not head.isdecimal():
+        if not (head.isascii() and head.isdigit()):
             raise ConlluParseError(f"non-numeric HEAD {head!r}", lineno)
         lemma = lemma if lemma and lemma != "_" else form
         rows.append(tuple.__new__(

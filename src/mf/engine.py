@@ -23,32 +23,28 @@ asc). A conceptual metaphor is a source concept of the target's sources,
 so the best concepts are its CMs, in the same order.
 """
 
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .store import PatternKey, Proposition, Store
 from .taxonomy import CLASS, Taxonomy, map_noun
 from .topics import TopicMatrix
 
 
-@dataclass(frozen=True)
-class WeightedTuple:
+class WeightedTuple(NamedTuple):
     prop: Proposition
     position: int
     weight: float
     frequency: int
 
 
-@dataclass
-class WeightedSource:
+class WeightedSource(NamedTuple):
     lexeme: str
     weight: float
-    evidence: dict[PatternKey, float] = field(default_factory=dict)
+    evidence: dict[PatternKey, float]  # each shared pattern -> the seed tuple's weight
 
 
-@dataclass
-class SourceConcept:
+class SourceConcept(NamedTuple):
     node: str
     members: tuple[WeightedSource, ...]
     shared_patterns: frozenset[PatternKey]

@@ -16,7 +16,6 @@ default inventory covers NV, VN, NVV, VPN, NPN, NVPN, NVVPN, NN, AN, AdvPN
 and NVAdv.
 """
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -30,15 +29,10 @@ from .textio import TextSource
 NOMINAL = frozenset({"NOUN", "PROPN", "PRON"})
 
 
-@dataclass(frozen=True)
-class RuleArc:
+class RuleArc(NamedTuple):
     head: str
     dep: str
     rels: frozenset[str]
-
-    def __post_init__(self):
-        if self.head == self.dep:
-            raise FormatError(f"arc {self.head}->{self.dep} is a self-loop")
 
 
 _NEW = -1  # the dependent of a step that binds a new variable
@@ -64,27 +58,39 @@ class JoinPlan(NamedTuple):
     preps: tuple[int, ...]  # the slots with the P role
 
 
-@dataclass(frozen=True)
 class ExtractionRule:
-    label: str
-    arcs: tuple[RuleArc, ...]
-    upos: Mapping[str, frozenset[str]] = field(default_factory=dict)
-    slots: tuple[str, ...] = ()
-    plan: JoinPlan = field(init=False, repr=False, compare=False)
+    # checked and compiled into its plan when made, and not a typed tuple:
+    # the plan's itemgetter compares by identity, so rules compare without it
+    __slots__ = ("label", "arcs", "upos", "slots", "plan")
 
-    def __post_init__(self):
-        variables = {v for arc in self.arcs for v in (arc.head, arc.dep)}
-        if len(self.slots) != label_arity(self.label):
-            raise FormatError(
-                f"rule {self.label}: {len(self.slots)} slot variables for "
-                f"arity-{label_arity(self.label)} label")
-        if len(set(self.slots)) != len(self.slots):
-            raise FormatError(f"rule {self.label}: slot variables must be distinct")
-        if not set(self.slots) | set(self.upos) <= variables:
-            raise FormatError(f"rule {self.label}: slot or UPOS variable not in an arc")
+    def __init__(self, label: str, arcs: tuple[RuleArc, ...],
+                 upos: Mapping[str, frozenset[str]] | None = None,
+                 slots: tuple[str, ...] = ()):
+        upos = {} if upos is None else upos
+        for arc in arcs:
+            if arc.head == arc.dep:
+                raise FormatError(f"arc {arc.head}->{arc.dep} is a self-loop")
+        variables = {v for arc in arcs for v in (arc.head, arc.dep)}
+        if len(slots) != label_arity(label):
+            raise FormatError(f"rule {label}: {len(slots)} slot variables for "
+                              f"arity-{label_arity(label)} label")
+        if len(set(slots)) != len(slots):
+            raise FormatError(f"rule {label}: slot variables must be distinct")
+        if not set(slots) | set(upos) <= variables:
+            raise FormatError(f"rule {label}: slot or UPOS variable not in an arc")
+        self.label, self.upos, self.slots = label, upos, slots
         # arcs must be orderable so each one has its head already bound
-        object.__setattr__(self, "arcs", _order_arcs(self.label, self.arcs))
-        object.__setattr__(self, "plan", _compile(self))
+        self.arcs = _order_arcs(label, arcs)
+        self.plan = _compile(self)
+
+    def _key(self) -> tuple:
+        return self.label, self.arcs, self.upos, self.slots
+
+    def __eq__(self, other):  # and so unhashable, as a dict in upos is
+        return isinstance(other, ExtractionRule) and self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return "ExtractionRule(label=%r, arcs=%r, upos=%r, slots=%r)" % self._key()
 
 
 def _order_arcs(label: str, arcs: tuple[RuleArc, ...]) -> tuple[RuleArc, ...]:

@@ -7,8 +7,7 @@ expanded source set. Reported pair weights are min-max scaled to [0, 1]
 across the whole report.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import textio
 from .engine import rank_sources
@@ -19,31 +18,27 @@ from .textio import TextSource
 from .topics import TopicMatrix
 
 
-@dataclass
-class GoldMapping:
+class GoldMapping(NamedTuple):
     name: str
-    targets: set[str] = field(default_factory=set)
-    sources: set[str] = field(default_factory=set)
+    targets: frozenset[str] = frozenset()
+    sources: frozenset[str] = frozenset()
 
 
-@dataclass
-class GoldPair:
+class GoldPair(NamedTuple):
     target: str
     source: str
     weight: float
-    scaled: float = 0.0
+    scaled: float
 
 
-@dataclass
-class MappingResult:
+class MappingResult(NamedTuple):
     name: str
     found: bool
-    pairs: list[GoldPair] = field(default_factory=list)
+    pairs: tuple[GoldPair, ...] = ()
     skipped: bool = False
 
 
-@dataclass
-class GoldReport:
+class GoldReport(NamedTuple):
     results: list[MappingResult]
 
     @property
@@ -74,13 +69,13 @@ class GoldReport:
 
 
 def load_gold(source: TextSource) -> list[GoldMapping]:
-    mappings: dict[str, GoldMapping] = {}
+    sides: dict[str, dict[str, set[str]]] = {}
     for rowno, cols in textio.rows(source):
         if len(cols) != 3 or cols[1] not in ("T", "S"):
             raise FormatError("expected name <TAB> T|S <TAB> lexeme", rowno)
-        mapping = mappings.setdefault(cols[0], GoldMapping(cols[0]))
-        (mapping.targets if cols[1] == "T" else mapping.sources).add(cols[2])
-    return list(mappings.values())
+        sides.setdefault(cols[0], {"T": set(), "S": set()})[cols[1]].add(cols[2])
+    return [GoldMapping(name, frozenset(side["T"]), frozenset(side["S"]))
+            for name, side in sides.items()]
 
 
 def eval_gold(gold: list[GoldMapping], store: Store,
@@ -89,7 +84,7 @@ def eval_gold(gold: list[GoldMapping], store: Store,
               threshold: float, top_sources: int, top_patterns: int,
               warn=None) -> GoldReport:
     """Check each gold mapping for a generated (target, source) pair."""
-    results = []
+    hits = []  # (mapping name, its (target, source, weight) hits or None if skipped)
     memo = {}
     for mapping in gold:
         expanded_t = expand_domain(mapping.targets, table, store, top_patterns, memo)
@@ -97,19 +92,18 @@ def eval_gold(gold: list[GoldMapping], store: Store,
         if not expanded_t or not expanded_s:
             if warn is not None:
                 warn(f"{mapping.name}: empty expansion, skipped")
-            results.append(MappingResult(mapping.name, False, skipped=True))
+            hits.append((mapping.name, None))
             continue
-        pairs = []
-        for target in sorted(expanded_t):
-            for src in rank_sources(target, store, tm, threshold, top_sources):
-                if src.lexeme in expanded_s:
-                    pairs.append(GoldPair(target, src.lexeme, src.weight))
-        results.append(MappingResult(mapping.name, bool(pairs), pairs))
+        hits.append((mapping.name, [
+            (target, src.lexeme, src.weight) for target in sorted(expanded_t)
+            for src in rank_sources(target, store, tm, threshold, top_sources)
+            if src.lexeme in expanded_s]))
 
-    weights = [p.weight for r in results for p in r.pairs]
-    if weights:
-        lo, hi = min(weights), max(weights)
-        for r in results:
-            for p in r.pairs:
-                p.scaled = (p.weight - lo) / (hi - lo) if hi > lo else 1.0
-    return GoldReport(results)
+    weights = [w for _, found in hits if found for _, _, w in found]
+    lo, hi = min(weights, default=0.0), max(weights, default=0.0)
+    return GoldReport([
+        MappingResult(name, False, skipped=True) if found is None else
+        MappingResult(name, bool(found), tuple(
+            GoldPair(t, s, w, (w - lo) / (hi - lo) if hi > lo else 1.0)
+            for t, s, w in found))
+        for name, found in hits])

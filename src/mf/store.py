@@ -360,13 +360,11 @@ class Store:
             if len(cols) < 3:
                 raise FormatError("expected label, slots..., frequency", rowno)
             label, slots, freq_text = cols[0], tuple(cols[1:-1]), cols[-1]
+            # ASCII digits only: int() also reads "1_0", "+3", " 4" and "３"
+            if not (freq_text.isascii() and freq_text.isdigit()):
+                raise FormatError(f"non-integer frequency {freq_text!r}", rowno)
             try:
-                freq = int(freq_text)
-            except ValueError:
-                raise FormatError(
-                    f"non-integer frequency {freq_text!r}", rowno) from None
-            try:
-                store.add(Proposition(label, slots), freq)
+                store.add(Proposition(label, slots), int(freq_text))
             except FormatError as exc:
                 raise FormatError(str(exc), rowno) from None
         if path is not None:

@@ -22,7 +22,8 @@ the format version, this machine's byte order, the sha256 of the source
 file's bytes and the sha256 of the payload. The payload holds the int64
 byte size of each string table and the length of each typed column, then
 the tables, one string per line, then the columns in this machine's byte
-order, which a read returns as views over the file's bytes. A cache file is
+order. A read decodes the tables and returns each column as a view over
+its own bytes, so the tables' bytes are not kept. A cache file is
 read only when the header matches and the sizes fit the tables and columns
 the reader expects, and it is always safe to delete.
 """
@@ -177,37 +178,41 @@ def read_cache(cache: TextTarget, magic: bytes, source: TextTarget, tables: int,
                typecodes: str) -> Optional[tuple[list[list[str]], list[memoryview]]]:
     """The `tables` string tables and the columns of the array typecodes
     `typecodes` that `write_cache` wrote to the cache file `cache` for the
-    file `source`, each column a view over the cache file's bytes. None when
-    there is no cache file, when its header does not hold `magic`, this
-    machine's byte order, the sha256 of the source file's bytes and the
-    sha256 of the payload, or when the payload's sizes do not fit these
-    tables and columns. The source file is hashed a chunk at a time, so its
-    bytes are never held whole beside the cache's."""
+    file `source`, each column a view over its own bytes, so the tables'
+    bytes are freed once decoded. None when there is no cache file, when its
+    header does not hold `magic`, this machine's byte order, the sha256 of
+    the source file's bytes and the sha256 of the payload, or when the
+    payload's sizes do not fit these tables and columns. The source file is
+    hashed a chunk at a time, so its bytes are never held whole beside the
+    cache's."""
+    widths = [1] * tables + [array(t).itemsize for t in typecodes]
+    sizes = array("q")
     try:
-        blob = Path(cache).read_bytes()
-    except OSError:
+        with open(cache, "rb") as fh:
+            header = fh.read(_CACHE_HEADER.size)
+            sizes.fromfile(fh, len(widths))
+            spans = [size * width for size, width in zip(sizes, widths)]
+            # sizes that do not fit the file are refused before any is read
+            if min(spans) < 0 or sum(spans) != os.fstat(fh.fileno()).st_size - fh.tell():
+                return None
+            pieces = [fh.read(span) for span in spans]
+    except (OSError, EOFError, ValueError):  # no cache file, or one cut short
         return None
-    if len(blob) < _CACHE_HEADER.size:
-        return None
-    payload = memoryview(blob)[_CACHE_HEADER.size:]
-    source_digest = _sha256()
+    digest, source_digest = _sha256(sizes), _sha256()
+    for piece in pieces:
+        digest.update(piece)
     with open(source, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             source_digest.update(chunk)
-    if _CACHE_HEADER.unpack_from(blob) != (magic, _BYTE_ORDER, source_digest.digest(),
-                                           _sha256(payload).digest()):
+    if _CACHE_HEADER.unpack(header) != (magic, _BYTE_ORDER, source_digest.digest(),
+                                        digest.digest()):
         return None
-    widths = [1] * tables + [array(t).itemsize for t in typecodes]
-    at, pieces = 8 * len(widths), []
     try:
-        for size, width in zip(payload[:at].cast("q"), widths):
-            pieces.append(payload[at:at + size * width])
-            at += size * width
         strings = [str(piece, "utf-8").split("\n")[:-1] for piece in pieces[:tables]]
-        columns = [piece.cast(t) for piece, t in zip(pieces[tables:], typecodes)]
-    except (TypeError, ValueError):  # sizes that do not fit the payload
+    except ValueError:  # a table that is not UTF-8
         return None
-    return (strings, columns) if at == len(payload) else None
+    return strings, [memoryview(piece).cast(t)
+                     for piece, t in zip(pieces[tables:], typecodes)]
 
 
 def _sha256(data=b""):

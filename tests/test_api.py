@@ -3,7 +3,8 @@ example, run as written from the repository root."""
 
 import json
 import re
-from dataclasses import fields
+import subprocess
+import sys
 from pathlib import Path
 
 import mf
@@ -22,7 +23,7 @@ def test_exports_resolve_once_without_the_deleted_names():
     assert not hasattr(mf.Store, "pattern_total")
     assert not hasattr(mf.Store, "lexemes")
     assert not hasattr(mf.PatternKey, "blank_position")
-    assert "evidence_freq" not in {f.name for f in fields(mf.WeightedSource)}
+    assert "evidence_freq" not in mf.WeightedSource._fields
 
 
 def test_readme_library_block_runs(monkeypatch, capsys):
@@ -37,3 +38,13 @@ def test_readme_library_block_runs(monkeypatch, capsys):
     expected = json.loads((ROOT / "tests/expected/cms.poverty.json").read_text("utf-8"))
     assert printed == [[cm["source_node"], str(round(cm["weight"], 3))]
                        for cm in expected]
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # every stage is a fresh process that imports mf.cli; records are typed
+    # tuples, so no stage pays for dataclasses and the inspect it imports
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mf.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -43,11 +43,14 @@ def test_unknown_key_names_field(tmp_path):
 
 
 def test_non_numeric_value_names_field(tmp_path):
+    # int() reads "1_0" as 10, and "+3" and the fullwidth digit three as 3;
+    # an integer key takes ASCII digits
     path = tmp_path / "bad.cfg"
-    path.write_text("k = five\n", encoding="utf-8")
-    with pytest.raises(ConfigError) as err:
-        load_config(path)
-    assert err.value.field == "k"
+    for value in ("five", "1_0", "+3", "\uff13"):
+        path.write_text(f"k = {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="expected an integer") as err:
+            load_config(path)
+        assert err.value.field == "k", value
 
 
 def test_strictly_positive_parameters(tmp_path):

@@ -51,9 +51,10 @@ def test_multiword_ranges_and_empty_nodes_skipped():
     assert [t.index for t in sent.tokens] == [1, 2, 3]
 
 
-@pytest.mark.parametrize("tok_id", ["-2", "2-", "x-y", "1.x", "."])
+@pytest.mark.parametrize("tok_id", ["-2", "2-", "x-y", "1.x", ".", "\uff11",
+                                    "\uff11-\uff12", "1.\uff11"])
 def test_malformed_id_reports_line(tok_id):
-    # neither a number, nor an N-M range, nor an N.M empty node
+    # neither a number, nor an N-M range, nor an N.M empty node, in ASCII digits
     text = f"{tok_id}\tz\tz\tNOUN\t_\t_\t_\t_\t_\t_\n" + TWO_TOKEN
     with pytest.raises(ConlluParseError, match="non-numeric ID") as err:
         list(iter_sentences(text.splitlines(keepends=True)))
@@ -73,9 +74,10 @@ def test_non_numeric_head_reports_line():
     assert err.value.line == 2
 
 
-@pytest.mark.parametrize("head", ["0_0", "+1", " 1"])
+@pytest.mark.parametrize("head", ["0_0", "+1", " 1", "\uff11", "\u0661"])
 def test_signed_or_spaced_head_reports_line(head):
-    # int() reads "0_0" as 0 (a root) and "+1" and " 1" as 1; none is a CoNLL-U HEAD
+    # int() reads "0_0" as 0 (a root) and "+1", " 1" and the fullwidth and
+    # Arabic-Indic digit one as 1; none is a CoNLL-U HEAD
     bad = TWO_TOKEN.replace("\t1\tobj", f"\t{head}\tobj")
     with pytest.raises(ConlluParseError, match="non-numeric HEAD") as err:
         list(iter_sentences(bad.splitlines(keepends=True)))

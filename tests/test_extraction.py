@@ -205,6 +205,10 @@ def test_rule_validation_errors():
         ExtractionRule("NV", (RuleArc("v", "s", frozenset({"nsubj"})),
                               RuleArc("x", "y", frozenset({"obj"}))),
                        {}, ("s", "v"))  # disconnected template
+    with pytest.raises(FormatError, match="self-loop"):
+        ExtractionRule("NV", (RuleArc("v", "s", frozenset({"nsubj"})),
+                              RuleArc("s", "s", frozenset({"amod"}))),
+                       {}, ("s", "v"))
 
 
 def test_load_rules_roundtrip(tmp_path):
@@ -238,10 +242,13 @@ NV_ENTRY = {"label": "NV", "arcs": [{"head": "v", "dep": "s", "rels": ["nsubj"]}
     {"upos": {"v": "VERB"}},
     {"upos": {"vv": ["NOUN"]}},
     {"slots": "sv"},
-], ids=["rels-string", "upos-string", "upos-unknown-variable", "slots-string"])
+    {"arcs": NV_ENTRY["arcs"] + [{"head": "s", "dep": "s", "rels": ["amod"]}]},
+], ids=["rels-string", "upos-string", "upos-unknown-variable", "slots-string",
+        "self-loop"])
 def test_load_rules_rejects_misread_entries(tmp_path, change):
-    # each of these once loaded: a string was read as the set or tuple of its
-    # characters, and a UPOS set on a variable no arc binds was ignored
+    # each of these but the self-loop once loaded: a string was read as the
+    # set or tuple of its characters, and a UPOS set on a variable no arc
+    # binds was ignored
     path = tmp_path / "rules.json"
     path.write_text(json.dumps([NV_ENTRY, {**NV_ENTRY, **change}]), encoding="utf-8")
     with pytest.raises(FormatError) as err:

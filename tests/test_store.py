@@ -227,9 +227,12 @@ def test_pattern_total_that_does_not_fit_the_index_rejected():
 
 
 def test_non_integer_frequency_reports_row():
-    with pytest.raises(FormatError) as err:
-        Store.load(io.StringIO("VN\tfight\tpoverty\tmany\n"))
-    assert err.value.row == 1
+    # int() reads "1_0" as 10, and "+3", " 4" and the fullwidth digit three
+    # as 3 and 4; a frequency is ASCII digits
+    for freq in ("many", "1_0", "+3", " 4", "\uff13"):
+        with pytest.raises(FormatError, match="non-integer frequency") as err:
+            Store.load(io.StringIO(f"VN\tfight\tpoverty\t3\nVN\ta\tb\t{freq}\n"))
+        assert err.value.row == 2, freq
 
 
 def test_min_freq_floor():

@@ -7,7 +7,7 @@ import pytest
 
 from mf import (Store, load_expansion_table, load_gold, load_rules, load_taxonomy,
                 load_topic_matrix, textio)
-from mf.config import load_config
+from mf.config import PipelineConfig, load_config
 
 from .conftest import FIXTURES
 
@@ -67,7 +67,7 @@ def _topic_view(tm):
     ("gold/gold.tsv", load_gold, lambda mappings: mappings),
     ("taxonomy.tsv", load_taxonomy, lambda tax: vars(tax)),
     ("rules.json", load_rules, lambda rules: rules),
-    ("pipeline.cfg", load_config, vars),
+    ("pipeline.cfg", load_config, PipelineConfig._asdict),
 ])
 def test_loaders_read_gzip_transparently(tmp_path, fixture, load, view):
     plain = FIXTURES / fixture
