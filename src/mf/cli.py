@@ -15,7 +15,8 @@ The stages after generalize read store.gen.tsv (store.tsv under
 --no-generalize); cms ranks sources from the store, not sources.<t>.tsv.
 
 Every stage takes --config, --workdir and --no-generalize, and besides them
-only the flags it reads (_STAGES); the config file may set any key.
+only the flags it reads (_STAGES); the config file may set any key. Only
+extract creates the work directory.
 
 store.tsv.idx and store.gen.tsv.idx hold the index of their store. They
 are a cache: the first stage that queries a store writes its index file,
@@ -38,7 +39,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import engine, generalize, gold as gold_mod, textio
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, read_field
 from .conllu import iter_sentences
 from .errors import FormatError, MFError
 from .extraction import DEFAULT_RULES, extract_propositions, load_rules
@@ -62,21 +63,22 @@ def _need(path: str | None, what: str) -> Path:
 
 
 # every flag a stage may take, with its argparse options; argparse names
-# each one's field after it
+# the field each sets after it, and `read_field` reads the flag's text
 _FLAGS = {
-    **dict.fromkeys(("--taxonomy", "--topic-matrix", "--expansion-table", "--gold"), {}),
+    "--config": dict(help="key=value configuration file"),
+    "--workdir": dict(help="artifact directory (default: out)"),
+    "--no-generalize": dict(action="store_const", const="false", dest="generalize",
+                            help="use the raw store for downstream stages"),
+    **dict.fromkeys(("--taxonomy", "--topic-matrix", "--expansion-table", "--gold",
+                     "--min-freq", "--top-sources", "--top-cms", "--per-pair"), {}),
     "--corpus": dict(nargs="+", help="CoNLL-U file(s); shards are merged"),
     "--rules": dict(help="JSON extraction-rule file"),
-    "--min-freq": dict(type=int),
     "--target": dict(action="append", dest="targets", metavar="TARGET",
                      help="seed lexeme (repeatable)"),
-    "--threshold": dict(type=float, help="relatedness cutoff"),
-    "--top-sources": dict(type=int),
-    "--k": dict(type=int, help="minimum shared patterns per concept"),
-    "--top-cms": dict(type=int),
+    "--threshold": dict(help="relatedness cutoff"),
+    "--k": dict(help="minimum shared patterns per concept"),
     "--sidecar": dict(help="TSV sentence_id <TAB> text override"),
-    "--seed": dict(type=int, help="sampling seed"),
-    "--per-pair": dict(type=int),
+    "--seed": dict(help="sampling seed"),
 }
 
 
@@ -87,23 +89,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_text, flags) in _STAGES.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--workdir", help="artifact directory (default: out)")
-        p.add_argument("--no-generalize", action="store_false", dest="generalize",
-                       default=None, help="use the raw store for downstream stages")
-        for flag in flags:
+        for flag in ("--config", "--workdir", "--no-generalize", *flags):
             p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def _configure(args) -> PipelineConfig:
-    """The config file, if any, with every flag the command line set on top."""
+    """The config file, if any, with every flag the command line set read on top."""
     cfg = (load_config(_need(args.config, "config file")) if args.config
            else PipelineConfig())
-    flags = {name: tuple(value) if isinstance(value, list) else value
+    flags = {name: tuple(value) if isinstance(value, list) else read_field(name, value)
              for name in PipelineConfig._fields
              if (value := getattr(args, name, None)) is not None}
-    return cfg._replace(**flags).validate()
+    return cfg._replace(**flags)
 
 
 def _corpus_paths(cfg: PipelineConfig) -> list[Path]:
@@ -118,15 +116,9 @@ def _corpus_paths(cfg: PipelineConfig) -> list[Path]:
     return paths
 
 
-def _workdir(cfg: PipelineConfig) -> Path:
-    wd = Path(cfg.workdir)
-    wd.mkdir(parents=True, exist_ok=True)
-    return wd
-
-
 def _active_store(cfg: PipelineConfig) -> Store:
     name = _store_name(cfg)
-    return Store.load(_need(str(_workdir(cfg) / name), f"store artifact {name}"))
+    return Store.load(_need(str(Path(cfg.workdir) / name), f"store artifact {name}"))
 
 
 def _store_name(cfg: PipelineConfig) -> str:
@@ -140,7 +132,7 @@ def _warn_missing(targets: Iterable[str], store: Store, cfg: PipelineConfig) -> 
     for target in targets:
         if store.index.lexeme_id(target) is None:
             _warn(f"lexeme {target!r} not found in "
-                  f"{_workdir(cfg) / _store_name(cfg)}{why}")
+                  f"{Path(cfg.workdir) / _store_name(cfg)}{why}")
 
 
 def _targets(cfg: PipelineConfig, store: Store) -> tuple[str, ...]:
@@ -163,7 +155,7 @@ def _load_tm(cfg: PipelineConfig):
     if not cfg.topic_matrix:
         return None
     tm = load_topic_matrix(_need(cfg.topic_matrix, "topic matrix"),
-                           _workdir(cfg) / "topics.vec")
+                           Path(cfg.workdir) / "topics.vec")
     if cfg.topics is not None and tm.topics != cfg.topics:
         _warn(f"topic matrix has {tm.topics} topics, config expects {cfg.topics}")
     return tm
@@ -198,11 +190,13 @@ def cmd_extract(cfg: PipelineConfig) -> int:
         shards.append(shard)
     store = merge_stores(shards)
     store.freeze(min_freq=cfg.min_freq)
-    return _save(store, _workdir(cfg) / "store.tsv")
+    wd = Path(cfg.workdir)
+    wd.mkdir(parents=True, exist_ok=True)
+    return _save(store, wd / "store.tsv")
 
 
 def cmd_generalize(cfg: PipelineConfig) -> int:
-    wd = _workdir(cfg)
+    wd = Path(cfg.workdir)
     store = Store.load(_need(str(wd / "store.tsv"), "store artifact store.tsv"))
     tax = load_taxonomy(_need(cfg.taxonomy, "taxonomy"))
     return _save(generalize.generalize_store(store, tax), wd / "store.gen.tsv")
@@ -210,7 +204,7 @@ def cmd_generalize(cfg: PipelineConfig) -> int:
 
 def cmd_properties(cfg: PipelineConfig) -> int:
     store = _active_store(cfg)
-    wd = _workdir(cfg)
+    wd = Path(cfg.workdir)
     for target in _targets(cfg, store):
         ranked = engine.salient_properties(target, store, top_n=None)
         _emit(wd / f"properties.{target}.tsv",
@@ -223,7 +217,7 @@ def cmd_sources(cfg: PipelineConfig) -> int:
     store = _active_store(cfg)
     targets = _targets(cfg, store)
     tm = _load_tm(cfg)
-    wd = _workdir(cfg)
+    wd = Path(cfg.workdir)
     for target in targets:
         ranked = engine.rank_sources(target, store, tm, cfg.threshold,
                                      cfg.top_sources)
@@ -243,7 +237,7 @@ def cmd_cms(cfg: PipelineConfig) -> int:
     targets = _targets(cfg, store)
     tm = _load_tm(cfg)
     tax = load_taxonomy(_need(cfg.taxonomy, "taxonomy"))
-    wd = _workdir(cfg)
+    wd = Path(cfg.workdir)
     for target in targets:
         ranked = engine.rank_sources(target, store, tm, cfg.threshold,
                                      cfg.top_sources)
@@ -292,7 +286,7 @@ def _load_sidecar(cfg: PipelineConfig) -> dict[str, str]:
 def cmd_find_lms(cfg: PipelineConfig) -> int:
     store = _active_store(cfg)
     table = _load_table(cfg)
-    wd = _workdir(cfg)
+    wd = Path(cfg.workdir)
     paths = _corpus_paths(cfg)
     sidecar = _load_sidecar(cfg)
     targets = _targets(cfg, store)
@@ -361,7 +355,7 @@ def cmd_eval_gold(cfg: PipelineConfig) -> int:
         threshold=cfg.threshold, top_sources=cfg.top_sources,
         top_patterns=cfg.top_patterns, warn=_warn)
     text = report.render()
-    with textio.writer(_workdir(cfg) / "gold_report.txt") as fh:
+    with textio.writer(Path(cfg.workdir) / "gold_report.txt") as fh:
         fh.write(text)
     print(text, end="")
     return 0

@@ -6,9 +6,6 @@ from . import textio
 from .errors import ConfigError
 from .textio import TextSource
 
-_INT_KEYS = ("min_freq", "k", "top_sources", "top_cms", "per_pair",
-             "top_patterns", "seed", "topics")
-
 
 class PipelineConfig(NamedTuple):
     corpus: tuple[str, ...] = ()
@@ -31,59 +28,63 @@ class PipelineConfig(NamedTuple):
     seed: int = 1
     generalize: bool = True
 
-    def validate(self) -> "PipelineConfig":
-        for key in _INT_KEYS:
-            value = getattr(self, key)
-            if value is not None and value < 1:
-                raise ConfigError("must be strictly positive", key)
-        if not self.threshold >= 0:  # NaN too: no relatedness is <= NaN
-            raise ConfigError(f"must be a number >= 0, got {self.threshold}", "threshold")
-        if not self.workdir:
-            raise ConfigError("must name a directory", "workdir")
-        return self
+
+def _count(text: str, key: str) -> int:
+    if not (textio.is_digits(text) and int(text) >= 1):
+        raise ConfigError(f"expected an integer >= 1, got {text!r}", key)
+    return int(text)
+
+
+def _threshold(text: str, key: str) -> float:
+    try:
+        (value,) = textio.numbers([text])
+        if 0 <= value < float("inf"):
+            return value
+    except ValueError:
+        pass
+    raise ConfigError(f"expected a finite number >= 0, got {text!r}", key)
 
 
 def _parse_bool(value: str, key: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"expected a boolean, got {value!r}", key)
+    if value.lower() not in ("true", "yes", "on", "1", "false", "no", "off", "0"):
+        raise ConfigError(f"expected a boolean, got {value!r}", key)
+    return value.lower() in ("true", "yes", "on", "1")
+
+
+def _directory(text: str, key: str) -> str:
+    if not text:
+        raise ConfigError("must name a directory", key)
+    return text
+
+
+# each field's reader of its stripped text; the other fields are paths
+_READERS = {
+    **dict.fromkeys(("min_freq", "k", "top_sources", "top_cms", "per_pair",
+                     "top_patterns", "topics", "seed"), _count),
+    "threshold": _threshold, "generalize": _parse_bool, "workdir": _directory,
+    "targets": lambda text, key: tuple(t.strip() for t in text.split(",") if t.strip()),
+    "corpus": lambda text, key: (text,) if text else (),
+}
+
+
+def read_field(key: str, text: str):
+    """Field `key`'s value written as `text`, read and range-checked, where
+    an empty path is unset; ConfigError names the field of a bad value."""
+    if key not in PipelineConfig._fields:
+        raise ConfigError("unknown configuration key", key)
+    return _READERS.get(key, lambda text, key: text or None)(text.strip(), key)
 
 
 def load_config(source: TextSource) -> PipelineConfig:
-    """Read key=value lines; '#' comments and blank lines are skipped.
-
-    Unknown keys and malformed values raise ConfigError naming the field.
-    """
+    """Read key=value lines, each value by `read_field`; '#' comments and
+    blank lines are skipped, and a line without '=' is a ConfigError."""
     values = {}
     for lineno, line in enumerate(textio.lines(source), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+        key, sep, value = map(str.strip, line.partition("="))
         if not sep:
             raise ConfigError(f"expected key=value on line {lineno}", key or line)
-        if key not in PipelineConfig._fields:
-            raise ConfigError("unknown configuration key", key)
-        if key in _INT_KEYS:
-            # ASCII digits only: int() also reads "1_0", "+3" and other scripts' digits
-            if not (value.isascii() and value.isdigit()):
-                raise ConfigError(f"expected an integer, got {value!r}", key)
-            values[key] = int(value)
-        elif key == "threshold":
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"expected a number, got {value!r}", key) from None
-        elif key == "generalize":
-            values[key] = _parse_bool(value, key)
-        elif key == "targets":
-            values[key] = tuple(t.strip() for t in value.split(",") if t.strip())
-        elif key == "corpus":
-            values[key] = (value,) if value else ()
-        else:
-            values[key] = value or None
-    return PipelineConfig(**values).validate()
+        values[key] = read_field(key, value)
+    return PipelineConfig(**values)

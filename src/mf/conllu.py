@@ -111,12 +111,11 @@ def iter_sentences(source: TextSource) -> Iterator[Sentence]:
             raise ConlluParseError(
                 f"expected 10 tab-separated columns, got {len(cols)}", lineno)
         tok_id, form, lemma, upos, _, _, head, deprel = cols[:8]
-        # ASCII digits only: int() also reads "１" and other scripts' digits
-        if not (tok_id.isascii() and tok_id.isdigit()):
+        if not textio.is_digits(tok_id):
             if _SKIPPED_ID.fullmatch(tok_id):
                 continue
             raise ConlluParseError(f"non-numeric ID {tok_id!r}", lineno)
-        if not (head.isascii() and head.isdigit()):
+        if not textio.is_digits(head):
             raise ConlluParseError(f"non-numeric HEAD {head!r}", lineno)
         lemma = lemma if lemma and lemma != "_" else form
         rows.append(tuple.__new__(

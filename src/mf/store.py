@@ -360,8 +360,7 @@ class Store:
             if len(cols) < 3:
                 raise FormatError("expected label, slots..., frequency", rowno)
             label, slots, freq_text = cols[0], tuple(cols[1:-1]), cols[-1]
-            # ASCII digits only: int() also reads "1_0", "+3", " 4" and "３"
-            if not (freq_text.isascii() and freq_text.isdigit()):
+            if not textio.is_digits(freq_text):
                 raise FormatError(f"non-integer frequency {freq_text!r}", rowno)
             try:
                 store.add(Proposition(label, slots), int(freq_text))

@@ -32,6 +32,7 @@ import gzip
 import io
 import json
 import os
+import re
 import struct
 import sys
 import zlib
@@ -51,6 +52,9 @@ _UNREADABLE = (UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error)
 # file, sha256 of the payload that follows
 _CACHE_HEADER = struct.Struct("8s1s32s32s")
 _BYTE_ORDER = sys.byteorder[0].encode()
+# the characters of numbers joined by commas, which float() never reads:
+# float() also reads "1_0", " 4", "inf", "nan" and other scripts' digits
+_NUMBERS = re.compile(r"[-+.0-9eE,]*")
 
 
 def as_path(source: TextSource) -> Optional[Path]:
@@ -109,6 +113,22 @@ def rows(source: TextSource) -> Iterator[tuple[int, list[str]]]:
             continue
         in_data = True
         yield rowno, line.split("\t")
+
+
+def is_digits(text: str) -> bool:
+    """Whether `text` is ASCII digits: int() also reads "1_0", "+3", " 4"
+    and other scripts' digits, such as the fullwidth "３"."""
+    return text.isascii() and text.isdigit()
+
+
+def numbers(texts: Sequence[str]) -> list[float]:
+    """The floats `texts` spell, each in ASCII digits, ".", "e", "E", "+"
+    and "-" as float() reads them; ValueError for any other text."""
+    # one match over the joined texts: a match per text takes longer than
+    # the float() calls
+    if _NUMBERS.fullmatch(",".join(texts)) is None:
+        raise ValueError(f"not ASCII numbers: {texts!r}")
+    return list(map(float, texts))
 
 
 def load_json(source: TextSource) -> Any:

@@ -2,9 +2,10 @@
 
 File format: a header line "T=<topic count>", then one row per word,
 "lexeme <TAB> p1 <TAB> ... <TAB> pT", each probability finite and
-non-negative, and no word in two rows. Words missing from the matrix are
-out of vocabulary; their relatedness to anything is 0 and downstream
-filtering must keep them.
+non-negative, and no word in two rows. The numbers are ASCII, as
+`textio.is_digits` and `textio.numbers` read them. Words missing from the
+matrix are out of vocabulary; their relatedness to anything is 0 and
+downstream filtering must keep them.
 
 A matrix loaded from a path can be cached in a `textio` cache file: the
 topic count, the words and their vectors, written only once every row has
@@ -109,18 +110,16 @@ def _parse(source: TextSource) -> TopicMatrix:
             header = "\t".join(cols)
             if not header.startswith("T="):
                 raise FormatError("first row must be the header T=<count>", rowno)
-            try:
-                topics = int(header[2:])
-            except ValueError:
-                raise FormatError(f"bad topic count {header[2:]!r}", rowno) from None
-            if topics < 1:
-                raise FormatError(f"topic count must be >= 1, got {topics}", rowno)
-            tm = TopicMatrix(topics, {})
+            count = header[2:]
+            if not (textio.is_digits(count) and int(count) >= 1):
+                raise FormatError("topic count must be >= 1 in ASCII digits, "
+                                  f"got {count!r}", rowno)
+            tm = TopicMatrix(int(count), {})
             continue
         if cols[0] in tm._start:
             raise FormatError(f"word {cols[0]!r} listed again", rowno)
         try:
-            tm._add(vectors, cols[0], map(float, cols[1:]))
+            tm._add(vectors, cols[0], textio.numbers(cols[1:]))
         except FormatError as exc:
             raise FormatError(str(exc), rowno) from None
         except ValueError:

@@ -1,5 +1,6 @@
-"""The library surface: the names `mf` exports, and the README's Library
-example, run as written from the repository root."""
+"""The library surface: the names `mf` exports, the README's Library
+example, run as written from the repository root, and the README's CLI
+flag list and example config."""
 
 import json
 import re
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import mf
+from mf import cli
+from mf.config import load_config
 
 ROOT = Path(__file__).parents[1]
 
@@ -48,3 +51,26 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                          capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_readme_cli_flags_and_example_config():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    # "- `stage`: `--flag`, `--flag N`, ..." items, continued on indented lines
+    items = re.findall(r"^- `([a-z-]+)`: (.*(?:\n  .*)*)", cli_section, re.M)
+    listed = {}
+    for stage, text in items:
+        listed[stage] = set(re.findall(r"`(--[a-z-]+)", text))
+        if "the `sources` flags" in text:
+            listed[stage] |= listed["sources"]
+    assert listed == {stage: set(flags) for stage, (_, _, flags) in cli._STAGES.items()}
+
+    block = re.search(r"^```ini\n(.*?)^```$", cli_section, re.S | re.M).group(1)
+    written = dict(line.split(" = ", 1) for line in block.splitlines())
+    cfg = load_config(block.splitlines())
+
+    def shown(value):
+        if isinstance(value, tuple):
+            return ", ".join(value)
+        return str(value).lower() if isinstance(value, bool) else str(value)
+    assert {key: shown(getattr(cfg, key)) for key in written} == written

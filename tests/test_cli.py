@@ -314,6 +314,37 @@ def test_nan_threshold_flag_rejected(workdir, capsys):
     assert not (workdir / "sources.poverty.tsv").exists()
 
 
+@pytest.mark.parametrize("stage, flag, text", [
+    ("cms", "--k", "\uff13"),
+    ("cms", "--top-cms", "1_0"),
+    ("find-lms", "--per-pair", "+3"),
+    ("sources", "--threshold", "inf"),
+    ("sources", "--threshold", "\uff10.\uff11"),
+])
+def test_flag_read_as_its_config_key(workdir, capsys, stage, flag, text):
+    # argparse's int() and float() read each of these texts
+    args = _fixture_store(workdir)
+    if stage == "cms":
+        args += ["--taxonomy", FIXTURES / "taxonomy.tsv"]
+    if stage == "find-lms":
+        shutil.copyfile(EXPECTED / "cms.poverty.json", workdir / "cms.poverty.json")
+        args = ["--target", "poverty", "--corpus", FIXTURES / "poverty.conllu",
+                "--workdir", workdir, "--no-generalize"]
+    before = sorted(os.listdir(workdir))
+    capsys.readouterr()
+    assert run(stage, *args, flag, text) == 2
+    field = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert sorted(os.listdir(workdir)) == before
+
+
+@pytest.mark.parametrize("stage", [stage for stage in cli._STAGES if stage != "extract"])
+def test_reading_stage_creates_no_workdir(tmp_path, capsys, stage):
+    assert run(stage, "--workdir", tmp_path / "new" / "a") == 2
+    assert "store artifact" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def _child_env(**extra):
     """The environment of a child process that imports the same mf as
     this one."""

@@ -18,6 +18,15 @@ def test_hash_starts_a_comment_only_before_data():
         (4, ["T=2"]), (5, ["#metoo", "1", "0"]), (7, ["naïve", "0", "1"])]
 
 
+def test_numbers_are_ascii():
+    assert textio.numbers(["0.04", "-2", "1e-05", "+3", "1.", ".5"]) == [
+        0.04, -2.0, 1e-05, 3.0, 1.0, 0.5]
+    # the numbers are checked joined by commas, which float() never reads
+    for texts in (["1,2"], ["1", "\t2"], ["1_0"], ["\uff13"], ["inf"], [""], ["."]):
+        with pytest.raises(ValueError):
+            textio.numbers(texts)
+
+
 @pytest.mark.parametrize("name", ["artifact.tsv", "artifact.tsv.gz"])
 def test_failed_write_keeps_earlier_artifact(tmp_path, name):
     path = tmp_path / name

@@ -84,7 +84,8 @@ def test_wrong_width_reports_row():
 
 
 def test_negative_probability_rejected():
-    for value in ("-0.5", "nan", "inf", "-inf"):
+    # float() reads "0_1", " 0.5" and the fullwidth "３" too
+    for value in ("-0.5", "nan", "inf", "-inf", "0_1", " 0.5", "\uff13"):
         with pytest.raises(FormatError) as err:
             load_topic_matrix(io.StringIO(f"T=2\nalpha\t{value}\t0.5\n"))
         assert err.value.row == 2
@@ -96,7 +97,8 @@ def test_word_in_two_rows_reports_the_second():
     assert err.value.row == 4
 
 
-@pytest.mark.parametrize("text", ["T=0\n", "T=0\nalpha\n", "T=-1\nalpha\t0.5\n"])
+@pytest.mark.parametrize("text", ["T=0\n", "T=0\nalpha\n", "T=-1\nalpha\t0.5\n",
+                                  "T=+2\nalpha\t0.5\t0.5\n", "T=\uff12\n"])
 def test_topic_count_below_one_refused_at_the_header(text):
     with pytest.raises(FormatError, match="topic count must be >= 1") as err:
         load_topic_matrix(io.StringIO(text))
