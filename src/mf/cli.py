@@ -41,7 +41,7 @@ from typing import Iterable
 from . import engine, generalize, gold as gold_mod, textio
 from .config import PipelineConfig, load_config, read_field
 from .conllu import iter_sentences
-from .errors import FormatError, MFError
+from .errors import ConfigError, FormatError, MFError
 from .extraction import DEFAULT_RULES, extract_propositions, load_rules
 from .lm import expand_domain, find_lms, load_expansion_table, sample_hits
 from .store import Store, merge_stores
@@ -80,6 +80,9 @@ _FLAGS = {
     "--sidecar": dict(help="TSV sentence_id <TAB> text override"),
     "--seed": dict(help="sampling seed"),
 }
+# the fields of the flags that take a list of values
+_LIST_FIELDS = {opts.get("dest", flag[2:]) for flag, opts in _FLAGS.items()
+                if "nargs" in opts or opts.get("action") == "append"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,10 +101,19 @@ def _configure(args) -> PipelineConfig:
     """The config file, if any, with every flag the command line set read on top."""
     cfg = (load_config(_need(args.config, "config file")) if args.config
            else PipelineConfig())
-    flags = {name: tuple(value) if isinstance(value, list) else read_field(name, value)
-             for name in PipelineConfig._fields
+    flags = {name: _flag(name, value) for name in PipelineConfig._fields
              if (value := getattr(args, name, None)) is not None}
     return cfg._replace(**flags)
+
+
+def _flag(name: str, value):
+    """A flag's value: a list flag's values as a tuple, and any other read by
+    `read_field`; argparse before Python 3.13 gives [] for `--threshold=--`."""
+    if name in _LIST_FIELDS:
+        return tuple(value)
+    if isinstance(value, list):
+        raise ConfigError(f"expected one value, got {value!r}", name)
+    return read_field(name, value)
 
 
 def _corpus_paths(cfg: PipelineConfig) -> list[Path]:

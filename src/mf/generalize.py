@@ -25,8 +25,11 @@ def generalize_store(store: Store, tax: Taxonomy) -> Store:
     out = Store()
     for prop, freq in store:
         nouns = noun_positions(prop.label)
-        slot_options = [options(s) if i in nouns else (s,)
-                        for i, s in enumerate(prop.slots)]
-        for slots in itertools.product(*slot_options):
-            out.add(Proposition(prop.label, slots), freq)
+        if not nouns:
+            out.add(prop, freq)
+            continue
+        label, slots = prop
+        for rewritten in itertools.product(*[options(s) if i in nouns else (s,)
+                                             for i, s in enumerate(slots)]):
+            out.add(tuple.__new__(Proposition, (label, rewritten)), freq)
     return out.freeze()

@@ -28,9 +28,11 @@ def label_roles(label: str) -> tuple[str, ...]:
     return roles
 
 
+@lru_cache(maxsize=None)
 def label_arity(label: str) -> int:
     return len(label_roles(label))
 
 
+@lru_cache(maxsize=None)
 def noun_positions(label: str) -> tuple[int, ...]:
     return tuple(i for i, r in enumerate(label_roles(label)) if r == ROLE_NOUN)

@@ -2,25 +2,22 @@
 
 A proposition is a pattern-labeled tuple of lemmas; a pattern key is a
 proposition with exactly one slot blanked. Both are plain typed tuples, so
-hashing, equality and ordering run at C speed. The slot-count rule (a label
-takes exactly `label_arity` slots) is checked where a tuple enters a store,
-in `Store.add`. The store counts identical tuples, then freezes into a
-read-only store; the first lexeme or pattern query builds its index, one
-set of int columns (`StoreIndex`).
-
-A store loaded from a path caches that index beside the file, in
-`<path>.idx`, when its first query builds it. A later load reads the
-index instead of parsing the file, but only when the sha256 of the file's
-bytes and of the index's payload both match the index's header; otherwise
-it parses the file and builds the index again. The file stays the
-canonical artifact: the index is a cache, safe to delete.
+hashing, equality and ordering run at C speed. A store counts identical
+tuples, checking each against its label's slot count, then freezes into
+its int columns (`StoreIndex`) and nothing else. A store loaded from a
+path writes its columns to `<path>.idx` when its first query builds them,
+and a later load reads that cache instead of parsing the store while the
+sha256 of the store's bytes and of the index's payload match its header.
 """
 
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from functools import cached_property
+from itertools import accumulate, repeat
+from operator import mul
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import textio
 from .errors import FormatError, StoreStateError
@@ -63,13 +60,11 @@ class Occurrence(NamedTuple):
     token_indices: tuple[int, ...]
 
 
-# (name, array typecode) of each column: 32-bit ids and offsets, 64-bit
-# frequencies, and the slot positions in bytes
-_COLUMNS = (("row_label", "i"), ("row_freq", "q"), ("row_start", "i"),
-            ("slots", "i"), ("slot_pattern", "i"),
-            ("pattern_start", "i"), ("pattern_rows", "i"), ("pattern_total", "q"),
-            ("lexeme_start", "i"), ("lexeme_rows", "i"), ("lexeme_pos", "b"))
-_TYPECODES = "".join(typecode for _, typecode in _COLUMNS)
+# each column's name and array typecode, the four row columns first: 32-bit
+# ids and offsets, 64-bit frequencies, and the slot positions in bytes
+_NAMES = ("row_label row_freq row_start slots slot_pattern pattern_start "
+          "pattern_rows pattern_total lexeme_start lexeme_rows lexeme_pos").split()
+_TYPECODES, _ROW_COLUMNS = "iqiiiiiqiib", 4
 # the largest frequency and slot count those columns hold
 _MAX_FREQ, _MAX_SLOTS = 2**63 - 1, 128
 # magic and format version of the index file, a `textio` cache file
@@ -77,69 +72,76 @@ _MAGIC = b"mf-idx\x00\x01"
 
 
 class StoreIndex:
-    """A frozen store as int columns of `array`s, which hold no Python
-    object per entry.
+    """A frozen store as int columns: `array`s in an index just built, and
+    read-only `memoryview`s over the bytes of an index file.
 
     Labels and lexemes are numbered in sorted order, so ids compare as their
     strings do, and rows are the store's tuples in sorted order. Row r has
-    label `labels[row_label[r]]`, frequency `row_freq[r]` and the lexeme
-    ids `slots[row_start[r]:row_start[r + 1]]`. Flat slot j lies in the
-    pattern `slot_pattern[j]` that blanks it; patterns are numbered in the
-    order of their first slot. Pattern p's rows, ascending, are
-    `pattern_rows[pattern_start[p]:pattern_start[p + 1]]`, with summed
-    frequency `pattern_total[p]`. Lexeme x fills slot `lexeme_pos[n]` of
-    row `lexeme_rows[n]` for n from `lexeme_start[x]` to
+    label `labels[row_label[r]]`, frequency `row_freq[r]` and the lexeme ids
+    `slots[row_start[r]:row_start[r + 1]]`. `group` builds the groups over
+    these row columns: flat slot j lies in the pattern `slot_pattern[j]`
+    that blanks it, numbered in the order of their first slot. Pattern p's
+    rows, ascending, are `pattern_rows[pattern_start[p]:pattern_start[p + 1]]`,
+    with summed frequency `pattern_total[p]`. Lexeme x fills slot
+    `lexeme_pos[n]` of row `lexeme_rows[n]` for n from `lexeme_start[x]` to
     `lexeme_start[x + 1]`, in (row, position) order.
-
-    The columns are `array`s in an index just built, and read-only
-    `memoryview`s over the index file's bytes in an index read from its
-    file.
     """
 
     def __init__(self, labels: list[str], lexemes: list[str], columns):
-        self.labels = labels
-        self.lexemes = lexemes
-        for (name, _), column in zip(_COLUMNS, columns):
-            setattr(self, name, column)
+        self.labels, self.lexemes = labels, lexemes
+        self.__dict__.update(zip(_NAMES, columns))
 
     @classmethod
-    def build(cls, counts: dict[Proposition, int]) -> "StoreIndex":
-        rows = sorted(counts.items())
-        labels = sorted({prop.label for prop in counts})
-        lexemes = sorted({lexeme for prop in counts for lexeme in prop.slots})
-        label_id = dict(zip(labels, range(len(labels))))
-        lexeme_id = dict(zip(lexemes, range(len(lexemes))))
-        row_label, row_freq, row_start = array("i"), array("q"), array("i", [0])
-        slots, slot_pattern, slot_row, slot_pos = (array("i") for _ in range(4))
-        pattern_id: dict[tuple, int] = {}
-        for r, ((label, words), freq) in enumerate(rows):
-            row_label.append(label_id[label])
+    def build(cls, rows: Iterable[tuple[Proposition, int]]) -> Optional["StoreIndex"]:
+        """The row columns of (tuple, frequency) rows in ascending order; None
+        at the first row that is not above the row before it."""
+        label_ids: dict[str, int] = {}  # rows come in label order
+        row_label, row_freq, row_start, words = array("i"), array("q"), array("i", [0]), []
+        last = ()
+        for prop, freq in rows:
+            if prop <= last:
+                return None
+            last = prop
+            row_label.append(label_ids.setdefault(prop.label, len(label_ids)))
             row_freq.append(freq)
-            slots.extend(map(lexeme_id.__getitem__, words))
-            row_start.append(len(slots))
-            for i in range(len(words)):
-                key = (label, i) + words[:i] + words[i + 1:]
-                slot_pattern.append(pattern_id.setdefault(key, len(pattern_id)))
-                slot_row.append(r)
-                slot_pos.append(i)
-        pattern_start, by_pattern = _group(slot_pattern, len(pattern_id))
-        pattern_rows = array("i", map(slot_row.__getitem__, by_pattern))
-        pattern_total = array("q", bytes(8 * len(pattern_id)))
-        try:
-            for p, r in zip(slot_pattern, slot_row):
-                pattern_total[p] += row_freq[r]
-        except OverflowError:
-            i = slot_pattern[row_start[r]:row_start[r + 1]].index(p)
-            raise FormatError(f"the frequencies of pattern {rows[r][0].pattern(i).text} "
-                              f"sum past {_MAX_FREQ}") from None
-        lexeme_start, by_lexeme = _group(slots, len(lexemes))
-        return cls(labels, lexemes, (
-            row_label, row_freq, row_start, slots, slot_pattern,
-            pattern_start, pattern_rows, pattern_total, lexeme_start,
-            array("i", map(slot_row.__getitem__, by_lexeme)),
-            array("b", map(slot_pos.__getitem__, by_lexeme))))
+            words += prop.slots
+            row_start.append(len(words))
+        lexemes = sorted(set(words))
+        slots = array("i", map(dict(zip(lexemes, range(len(lexemes)))).__getitem__, words))
+        return cls(list(label_ids), lexemes, (row_label, row_freq, row_start, slots))
 
-    # -- lookups -----------------------------------------------------------
+    def group(self) -> None:
+        """Build the groups over the row columns. A pattern's int key is its
+        label id plus the label count times the number whose base-(B + 1)
+        digits are its lexeme ids, B = len(lexemes), with B at the blank; a
+        label fixes the slot count, so no two patterns share a key."""
+        blank, places = len(self.lexemes), {}  # slot count -> each place value
+        ids, totals = {}, {}  # pattern key -> id, and id -> summed frequency
+        slot_pattern, slot_row, slot_pos = array("i"), array("i"), array("b")
+        start, slots = self.row_start, self.slots
+        for r, (label, freq) in enumerate(zip(self.row_label, self.row_freq)):
+            words = slots[start[r]:start[r + 1]]
+            n = len(words)
+            place = places.get(n) or places.setdefault(n, [
+                len(self.labels) * (blank + 1) ** (n - 1 - i) for i in range(n)])
+            key = label + sum(map(mul, words, place))
+            for x, value in zip(words, place):
+                p = ids.setdefault(key + (blank - x) * value, len(ids))
+                if (total := totals.get(p, 0) + freq) > _MAX_FREQ:
+                    text = self.pattern_key(r, len(slot_pattern) - start[r]).text
+                    raise FormatError(f"the frequencies of pattern {text} sum past "
+                                      f"{_MAX_FREQ}")
+                totals[p] = total
+                slot_pattern.append(p)
+            slot_row.extend(repeat(r, n))
+            slot_pos.extend(range(n))
+        pattern_start, by_pattern = _group(slot_pattern, len(ids))
+        lexeme_start, by_lexeme = _group(slots, blank)
+        self.__dict__.update(zip(_NAMES[_ROW_COLUMNS:], (
+            slot_pattern, pattern_start, array("i", map(slot_row.__getitem__, by_pattern)),
+            array("q", totals.values()), lexeme_start,
+            array("i", map(slot_row.__getitem__, by_lexeme)),
+            array("b", map(slot_pos.__getitem__, by_lexeme)))))
 
     def __len__(self) -> int:
         return len(self.row_freq)
@@ -165,21 +167,15 @@ class StoreIndex:
 
     @cached_property
     def pattern_ids(self) -> dict[PatternKey, int]:
-        """The id of every pattern key, inserted in id order."""
-        ids: dict[PatternKey, int] = {}
-        start, pattern = self.row_start, self.slot_pattern
-        for r in range(len(self)):
-            for j in range(start[r], start[r + 1]):
-                if pattern[j] == len(ids):
-                    ids[self.pattern_key(r, j - start[r])] = pattern[j]
-        return ids
-
-    # -- strings, made only for what a query returns ----------------------
+        """The id of every pattern key, made at the pattern's first row."""
+        start, rows = self.row_start, map(self.pattern_rows.__getitem__,
+                                          self.pattern_start[:-1])
+        return {self.pattern_key(r, self.slot_pattern[start[r]:start[r + 1]].tolist()
+                                 .index(p)): p for p, r in enumerate(rows)}
 
     def _words(self, row: int) -> list[str]:
-        lexemes = self.lexemes
-        return [lexemes[x] for x in self.slots[self.row_start[row]:
-                                               self.row_start[row + 1]]]
+        return list(map(self.lexemes.__getitem__,
+                        self.slots[self.row_start[row]:self.row_start[row + 1]]))
 
     def proposition(self, row: int) -> Proposition:
         return tuple.__new__(Proposition, (self.labels[self.row_label[row]],
@@ -188,73 +184,88 @@ class StoreIndex:
     def pattern_key(self, row: int, position: int) -> PatternKey:
         words: list = self._words(row)
         words[position] = None
-        return tuple.__new__(PatternKey, (self.labels[self.row_label[row]],
-                                          tuple(words)))
-
-    # -- the index file ----------------------------------------------------
+        return tuple.__new__(PatternKey, (self.labels[self.row_label[row]], tuple(words)))
 
     def save(self, path: Path, store_bytes: bytes) -> None:
         """Write the index atomically, for the store file of these bytes."""
         textio.write_cache(path, _MAGIC, store_bytes, (self.labels, self.lexemes),
-                           [getattr(self, name) for name, _ in _COLUMNS])
+                           [getattr(self, name) for name in _NAMES])
 
     @classmethod
     def read(cls, path: Path, store: Path) -> Optional["StoreIndex"]:
-        """The index in the file, or None when there is none, or when
-        `textio.read_cache` refuses it for the store file `store`."""
+        """The index in the file; None if `read_cache` refuses it for `store`."""
         cached = textio.read_cache(path, _MAGIC, store, 2, _TYPECODES)
         return None if cached is None else cls(*cached[0], cached[1])
 
 
-def _group(keys: array, n_keys: int) -> tuple[array, array]:
-    """Group the positions of `keys` by key: (start, order), where `order`
-    lists key k's positions ascending from `start[k]` to `start[k + 1]`."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ordered = [keys[j] for j in order]
-    start = array("i", (bisect_left(ordered, k) for k in range(n_keys + 1)))
-    return start, array("i", order)
+def _group(keys: Sequence[int], n_keys: int) -> tuple[array, array]:
+    """Group the positions of `keys` by key with a counting sort: (start, order),
+    where `order` lists key k's positions ascending from start[k] to start[k + 1]."""
+    counts = Counter(keys)
+    start = array("i", accumulate(map(counts.__getitem__, range(n_keys)), initial=0))
+    order, free = array("i", bytes(4 * len(keys))), start[:-1]  # key -> next place
+    for j, k in enumerate(keys):
+        order[free[k]] = j
+        free[k] += 1
+    return start, order
+
+
+def _counted(prop: Proposition, frequency: int, count: int = 0) -> int:
+    """`count` plus `frequency`; FormatError if the tuple's label takes another
+    slot count, if the frequency is below 1, or if the slots or sum do not fit."""
+    if frequency < 1:
+        raise FormatError(f"frequency must be >= 1, got {frequency}")
+    if len(prop.slots) != label_arity(prop.label):
+        raise FormatError(f"label {prop.label} takes {label_arity(prop.label)} slots, "
+                          f"got {len(prop.slots)}")
+    if len(prop.slots) > _MAX_SLOTS:
+        raise FormatError(f"{len(prop.slots)} slots, more than the {_MAX_SLOTS} "
+                          f"the store index holds")
+    count += frequency
+    if count > _MAX_FREQ:
+        raise FormatError(f"frequency {count} of {prop.text} is over {_MAX_FREQ}")
+    return count
+
+
+def _parse(source: TextSource, data: Optional[bytes],
+           count: Callable) -> Iterator[tuple[Proposition, int]]:
+    """The (tuple, frequency) rows of a store TSV, each passed to `count`
+    first; a FormatError, from the row or from `count`, names the row."""
+    for rowno, cols in textio.rows(textio.lines(source, data)):
+        if len(cols) < 3:
+            raise FormatError("expected label, slots..., frequency", rowno)
+        label, *words, freq = cols
+        if not textio.is_digits(freq):
+            raise FormatError(f"non-integer frequency {freq!r}", rowno)
+        prop, freq = tuple.__new__(Proposition, (label, tuple(words))), int(freq)
+        try:
+            count(prop, freq)
+        except FormatError as exc:
+            raise FormatError(str(exc), rowno) from None
+        yield prop, freq
 
 
 class Store:
     """Build-then-freeze collection of propositions with frequencies.
 
-    Mutation (add, update) is only allowed before freeze(); lexeme and
-    pattern queries only after. The first query builds the index; queries
-    return tuples in identity order, so float sums over them are the same
-    on every run. A frozen store is immutable and safe to share across
-    readers.
-    """
+    A store counts its tuples in a dict until freeze() turns the dict into
+    the row columns of its `StoreIndex`: add and update work only before,
+    and lexeme and pattern queries only after. Queries return tuples in
+    identity order, so float sums over them are the same on every run."""
 
     def __init__(self):
-        self._counts: dict[Proposition, int] = {}
-        self._frozen = False
-        # (index file, store file bytes) of a store loaded from a path
-        self._index_file: Optional[tuple[Path, bytes]] = None
-
-    # -- lifecycle -----------------------------------------------------
+        self._counts: Optional[dict[Proposition, int]] = {}  # None once frozen
+        self._columns: Optional[StoreIndex] = None
+        self._index_file: Optional[tuple[Path, bytes]] = None  # (.idx, store bytes)
 
     def _require_mutable(self):
-        if self._frozen:
+        if self._counts is None:
             raise StoreStateError("cannot mutate a frozen store")
 
     def add(self, prop: Proposition, frequency: int = 1) -> "Store":
-        """Count a tuple; FormatError if its label takes another slot count,
-        if the frequency is below 1, or if its slot count or summed
-        frequency does not fit the index."""
+        """Count a tuple; FormatError as `_counted` raises it."""
         self._require_mutable()
-        if frequency < 1:
-            raise FormatError(f"frequency must be >= 1, got {frequency}")
-        if len(prop.slots) != label_arity(prop.label):
-            raise FormatError(
-                f"label {prop.label} takes {label_arity(prop.label)} slots, "
-                f"got {len(prop.slots)}")
-        if len(prop.slots) > _MAX_SLOTS:
-            raise FormatError(f"{len(prop.slots)} slots, more than the {_MAX_SLOTS} "
-                              f"the store index holds")
-        count = self._counts.get(prop, 0) + frequency
-        if count > _MAX_FREQ:
-            raise FormatError(f"frequency {count} of {prop.text} is over {_MAX_FREQ}")
-        self._counts[prop] = count
+        self._counts[prop] = _counted(prop, frequency, self._counts.get(prop, 0))
         return self
 
     def update(self, occurrences: Iterable[Occurrence]) -> "Store":
@@ -263,62 +274,65 @@ class Store:
         return self
 
     def freeze(self, min_freq: int = 1) -> "Store":
-        """Drop tuples below min_freq and seal the store."""
+        """Drop tuples below min_freq and turn the counts into the columns."""
         self._require_mutable()
         if min_freq < 1:
             raise ValueError(f"min_freq must be >= 1, got {min_freq}")
-        if min_freq > 1:
-            self._counts = {p: f for p, f in self._counts.items() if f >= min_freq}
-        self._frozen = True
+        if self._columns is None:  # `load` may have parsed them already
+            # sorting the tuples alone compares each pair once, not twice
+            kept = sorted(prop for prop, freq in self._counts.items() if freq >= min_freq)
+            self._columns = StoreIndex.build(zip(kept, map(self._counts.__getitem__, kept)))
+        self._counts = None
         return self
 
-    @cached_property
+    @property
     def index(self) -> StoreIndex:
-        """The int columns every query reads. The first query builds them,
+        """The columns every query reads. The first query builds their groups,
         and writes them beside the file of a store loaded from a path."""
-        if not self._frozen:
+        if self._counts is not None:
             raise StoreStateError("store must be frozen before queries")
-        index = StoreIndex.build(self._counts)
-        if self._index_file is not None:
-            index.save(*self._index_file)
-            self._index_file = None
-        return index
-
-    @cached_property
-    def _counts(self) -> dict[Proposition, int]:
-        # only a store read from its index file lacks the dict; it is made
-        # from the columns the first time a view needs it
-        index = self.index
-        return {index.proposition(r): f for r, f in enumerate(index.row_freq)}
-
-    # -- plain views (allowed in either state) ---------------------------
+        if not hasattr(self._columns, "lexeme_pos"):
+            self._columns.group()
+            if self._index_file is not None:
+                self._columns.save(*self._index_file)
+                self._index_file = None
+        return self._columns
 
     def freq(self, prop: Proposition) -> int:
-        return self._counts.get(prop, 0)
+        if self._counts is not None:  # one lookup, not a column build per call
+            return self._counts.get(prop, 0)
+        rows = self._columns
+        r = bisect_left(range(len(rows)), prop, key=rows.proposition)
+        return rows.row_freq[r] if r < len(rows) and rows.proposition(r) == prop else 0
 
     def total(self) -> int:
-        return sum(self._counts.values())
+        return sum(self._columns.row_freq if self._counts is None else self._counts.values())
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._columns if self._counts is None else self._counts)
+
+    def _row_texts(self) -> tuple[Iterator[str], Iterator[list[str]], Sequence[int]]:
+        """Each row's label, slots and frequency, in row order; an unfrozen
+        store reads the rows of a frozen copy."""
+        rows = (self if self._counts is None else merge_stores([self]).freeze())._columns
+        words, start = list(map(rows.lexemes.__getitem__, rows.slots)), rows.row_start
+        return (map(rows.labels.__getitem__, rows.row_label),
+                map(words.__getitem__, map(slice, start, start[1:])), rows.row_freq)
 
     def __iter__(self) -> Iterator[tuple[Proposition, int]]:
-        return iter(sorted(self._counts.items()))
+        labels, slots, freqs = self._row_texts()
+        return zip(map(tuple.__new__, repeat(Proposition), zip(labels, map(tuple, slots))), freqs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Store) and self._counts == other._counts
-
-    # -- queries (frozen only) -------------------------------------------
+        return isinstance(other, Store) and list(self) == list(other)
 
     def tuples_containing(self, lexeme: str) -> tuple[tuple[Proposition, int], ...]:
-        """All (tuple, position) pairs whose slot at position equals lexeme,
-        in (tuple, position) order."""
+        """Every (tuple, position) whose slot is the lexeme, by tuple, then position."""
         index = self.index
         return tuple((index.proposition(r), i) for r, i, _ in index.entries(lexeme))
 
     def tuples_matching(self, key: PatternKey) -> tuple[Proposition, ...]:
-        """All tuples whose blanking at the key's blank position yields it,
-        in tuple order."""
+        """All tuples that equal the key but at its blank, in tuple order."""
         index = self.index
         p = index.pattern_ids.get(key)
         return () if p is None else tuple(map(index.proposition, index.rows_of(p)))
@@ -327,47 +341,31 @@ class Store:
         """Every pattern key, in the order of its first (tuple, position)."""
         return iter(self.index.pattern_ids)
 
-    # -- persistence -------------------------------------------------------
-
     def save(self, target: TextTarget) -> None:
         """Write TSV rows (label, slots..., frequency), sorted by identity,
-        to a path; the file is replaced atomically, and a path ending in
-        .gz is written gzip-compressed.
-        """
+        to a path, replaced atomically; a path ending in .gz is gzipped."""
         with textio.writer(target) as fh:
-            for prop, freq in self:
-                fh.write("\t".join((prop.label,) + prop.slots + (str(freq),)) + "\n")
+            for label, slots, freq in zip(*self._row_texts()):
+                fh.write("\t".join([label, *slots, str(freq)]) + "\n")
 
     @classmethod
     def load(cls, source: TextSource) -> "Store":
-        """Read a store TSV (gzip detected by magic bytes) and freeze it.
-        A path's index file is read instead when it matches the file.
-
-        Raises FormatError with the row number for bad arity or frequency.
-        """
+        """Read a store TSV (gzip detected by magic bytes) and freeze it;
+        FormatError names a bad row. A path's matching index file is read
+        instead; a file in row order, as `save` writes it, is parsed straight
+        into the row columns, and lines or a file out of order are counted first."""
         path = textio.as_path(source)
-        data = None
-        store = cls()
+        store, data = cls(), None
         if path is not None:
             index_file = path.with_name(path.name + ".idx")
-            index = StoreIndex.read(index_file, path)
-            if index is not None:
-                del store._counts  # made from the columns only if a view asks
-                store.index = index
-                return store.freeze()
-            data = path.read_bytes()
-        for rowno, cols in textio.rows(textio.lines(source, data)):
-            if len(cols) < 3:
-                raise FormatError("expected label, slots..., frequency", rowno)
-            label, slots, freq_text = cols[0], tuple(cols[1:-1]), cols[-1]
-            if not textio.is_digits(freq_text):
-                raise FormatError(f"non-integer frequency {freq_text!r}", rowno)
-            try:
-                store.add(Proposition(label, slots), int(freq_text))
-            except FormatError as exc:
-                raise FormatError(str(exc), rowno) from None
-        if path is not None:
-            store._index_file = (index_file, data)
+            store._columns = StoreIndex.read(index_file, path)
+            if store._columns is None:
+                data = path.read_bytes()
+                store._index_file = (index_file, data)
+                store._columns = StoreIndex.build(_parse(path, data, _counted))
+        if store._columns is None:
+            for _ in _parse(source, data, store.add):
+                pass
         return store.freeze()
 
 
@@ -375,6 +373,6 @@ def merge_stores(stores: Iterable[Store]) -> Store:
     """Count shard stores' tuples into one fresh unfrozen store, through `add`."""
     merged = Store()
     for shard in stores:
-        for prop, freq in shard._counts.items():
+        for prop, freq in shard if shard._counts is None else shard._counts.items():
             merged.add(prop, freq)
     return merged

@@ -220,6 +220,18 @@ def test_write_path_builds_no_index(workdir, monkeypatch):
     assert list(workdir.glob("*.idx")) == []
 
 
+def test_write_path_builds_no_groups(workdir, monkeypatch):
+    # the README promises that only the first query builds the groups
+    def no_groups(self):
+        raise AssertionError("extract and generalize must not build the groups")
+    monkeypatch.setattr("mf.store.StoreIndex.group", no_groups)
+    assert run("extract", "--corpus", FIXTURES / "poverty.conllu",
+               "--workdir", workdir) == 0
+    assert run("generalize", "--taxonomy", FIXTURES / "taxonomy.tsv",
+               "--workdir", workdir) == 0
+    assert (workdir / "store.gen.tsv").stat().st_size > 0
+
+
 def test_properties_unknown_lexeme_warns_exit_zero(workdir, capsys):
     run("extract", "--corpus", FIXTURES / "poverty.conllu", "--workdir", workdir)
     code = run("properties", "--target", "zzz", "--workdir", workdir,
@@ -311,6 +323,17 @@ def test_nan_threshold_flag_rejected(workdir, capsys):
     # no relatedness is <= NaN, so it would drop every source in vocabulary
     assert run("sources", *_fixture_store(workdir), "--threshold", "nan") == 2
     assert "threshold" in capsys.readouterr().err
+    assert not (workdir / "sources.poverty.tsv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--threshold=--", "--top-sources=--"])
+def test_one_value_flag_given_a_lone_double_dash_rejected(workdir, capsys, flag):
+    # argparse before Python 3.13 drops the lone "--" and gives [] as the value
+    args = _fixture_store(workdir)
+    capsys.readouterr()
+    assert run("sources", *args, flag) == 2
+    field = flag[2:flag.index("=")].replace("-", "_")
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not (workdir / "sources.poverty.tsv").exists()
 
 

@@ -316,6 +316,44 @@ def test_index_file_round_trip(rng, entries):
         assert (Path(tmp) / "store.tsv.idx").read_bytes() == index
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.lists(st.tuples(PROPOSITIONS, st.integers(2, 1000)), min_size=1, max_size=8))
+def test_store_has_one_shape_however_it_is_made(rng, entries):
+    odd = Store()
+    for prop, freq in entries:
+        odd.add(prop, freq)
+    counted = merge_stores([make_random_store(rng, max_tuples=40, vocab=12),
+                            odd]).freeze()
+    with tempfile.TemporaryDirectory() as tmp:
+        path, shuffled = Path(tmp) / "store.tsv", Path(tmp) / "shuffled" / "store.tsv"
+        counted.save(path)
+        # a shuffled copy in which one row is split into two that sum to it
+        rows = path.read_text("utf-8").split("\n")[:-1]
+        k = rng.choice([k for k, row in enumerate(rows) if not row.endswith("\t1")])
+        head, freq = rows[k].rsplit("\t", 1)
+        part = rng.randint(1, int(freq) - 1)
+        rows[k:k + 1] = [f"{head}\t{part}", f"{head}\t{int(freq) - part}"]
+        rng.shuffle(rows)
+        shuffled.parent.mkdir()
+        shuffled.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        stores = [counted, Store.load(path), Store.load(shuffled)]
+        expected = _queries(counted)
+        assert _queries(stores[1]) == expected  # writes store.tsv.idx
+        with mock.patch("mf.textio.rows", side_effect=AssertionError("parsed")):
+            stores.append(Store.load(path))
+        index = (Path(tmp) / "store.tsv.idx").read_bytes()
+        for n, store in enumerate(stores):
+            assert not any(isinstance(value, dict) for value in vars(store).values())
+            assert (len(store), store.total(), list(store)) == \
+                (len(counted), counted.total(), list(counted))
+            assert all(store.freq(prop) == freq for prop, freq in counted)
+            assert store.freq(vn("absent", "absent")) == 0
+            assert _queries(store) == expected
+            store.index.save(Path(tmp) / f"{n}.idx", path.read_bytes())
+            assert (Path(tmp) / f"{n}.idx").read_bytes() == index, n
+
+
 def _fight(tmp_path, obj):
     path = tmp_path / "store.tsv"
     Store().add(vn("fight", obj), 3).add(vn("cure", obj), 1).freeze().save(path)
