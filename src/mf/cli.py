@@ -10,6 +10,7 @@ writes its own, so re-running a stage on unchanged inputs is byte-identical:
                                -> gold_report.txt
     store.tsv.idx, store.gen.tsv.idx   (index caches beside their store)
     topics.vec                         (cache of the topic vectors)
+    <shard>.snt                        (cache of a corpus shard's sentences)
 
 The stages after generalize read store.gen.tsv (store.tsv under
 --no-generalize); cms ranks sources from the store, not sources.<t>.tsv.
@@ -30,6 +31,13 @@ cache-file format. sources, cms and eval-gold read it in place of the
 matrix while its header holds the sha256 of the matrix file's bytes, and
 otherwise parse the matrix and write it again; no other stage writes it.
 It is safe to delete.
+
+<shard>.snt, named after each corpus shard's file name, caches the shard's
+checked sentences in the same cache-file format. Only find-lms reads or
+writes it: it reads it in place of the shard while its header holds the
+sha256 of the shard's bytes and it names the shard's file name, and
+otherwise parses the shard and writes it again once every sentence has
+passed its checks. extract always parses. It is safe to delete.
 """
 
 import argparse
@@ -328,7 +336,8 @@ def cmd_find_lms(cfg: PipelineConfig) -> int:
     found = dict.fromkeys(targets, 0)
 
     def hits():
-        sentences = (s for path in paths for s in iter_sentences(path))
+        sentences = (s for path in paths
+                     for s in iter_sentences(path, wd / f"{path.name}.snt"))
         for hit in find_lms(sentences, specs):
             found[hit.target_domain] += 1
             yield hit

@@ -86,6 +86,7 @@ def eval_gold(gold: list[GoldMapping], store: Store,
     """Check each gold mapping for a generated (target, source) pair."""
     hits = []  # (mapping name, its (target, source, weight) hits or None if skipped)
     memo = {}
+    ranked = {}  # each target's sources: mappings may expand to the same target
     for mapping in gold:
         expanded_t = expand_domain(mapping.targets, table, store, top_patterns, memo)
         expanded_s = expand_domain(mapping.sources, table, store, top_patterns, memo)
@@ -94,10 +95,13 @@ def eval_gold(gold: list[GoldMapping], store: Store,
                 warn(f"{mapping.name}: empty expansion, skipped")
             hits.append((mapping.name, None))
             continue
-        hits.append((mapping.name, [
-            (target, src.lexeme, src.weight) for target in sorted(expanded_t)
-            for src in rank_sources(target, store, tm, threshold, top_sources)
-            if src.lexeme in expanded_s]))
+        found = []
+        for target in sorted(expanded_t):
+            if target not in ranked:
+                ranked[target] = rank_sources(target, store, tm, threshold, top_sources)
+            found += [(target, src.lexeme, src.weight) for src in ranked[target]
+                      if src.lexeme in expanded_s]
+        hits.append((mapping.name, found))
 
     weights = [w for _, found in hits if found for _, _, w in found]
     lo, hi = min(weights, default=0.0), max(weights, default=0.0)

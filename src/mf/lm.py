@@ -78,7 +78,8 @@ def find_lms(sentences: Iterable[Sentence],
     at its source end. A spec is one conceptual metaphor's (target lexemes,
     source lexemes, target domain, source domain); duplicate specs give
     duplicate hits. The specs are indexed by lemma first, so each arc looks
-    up its two lemmas once per direction, whatever the number of specs."""
+    up its target end once per direction, whatever the number of specs, and
+    its source end only when the target end is in some spec."""
     on_target: dict[str, set[int]] = {}
     on_source: dict[str, set[int]] = {}
     for i, (targets, sources, _, _) in enumerate(specs):
@@ -86,24 +87,28 @@ def find_lms(sentences: Iterable[Sentence],
             on_target.setdefault(lemma, set()).add(i)
         for lemma in sources:
             on_source.setdefault(lemma, set()).add(i)
-    empty: set[int] = set()
     for sentence in sentences:
-        text = None
-        for tok in sentence.tokens:
+        tokens, text = sentence.tokens, None
+        for tok in tokens:
             if tok.head == 0:
                 continue
-            head = sentence.token_at(tok.head)
+            head = tokens[tok.head - 1]
             for t, s, direction in ((tok, head, "source-headed"),
                                     (head, tok, "target-headed")):
-                matched = on_target.get(t.lemma, empty) & on_source.get(s.lemma, empty)
+                # most arcs end here, before any set is made
+                as_target = on_target.get(t.lemma)
+                if as_target is None or (as_source := on_source.get(s.lemma)) is None:
+                    continue
+                matched = as_target & as_source
                 if not matched:
                     continue
                 if text is None:
                     text = sentence.text
                 for i in matched:
                     _, _, t_dom, s_dom = specs[i]
-                    yield LMHit(sentence.id, t.index, s.index, tok.deprel, direction,
-                                t.lemma, s.lemma, t_dom, s_dom, text)
+                    yield tuple.__new__(LMHit, (
+                        sentence.id, t.index, s.index, tok.deprel, direction,
+                        t.lemma, s.lemma, t_dom, s_dom, text))
 
 
 def sample_hits(hits: Iterable[LMHit], per_pair: int, seed: int) -> list[LMHit]:

@@ -28,15 +28,17 @@ def tsv_files(draw, row, max_size=8):
 
 @st.composite
 def trees(draw, sid, lemmas="abc", upos=("X",), deprels=("amod", "obj", "nsubj"),
-          max_size=6):
+          max_size=6, forms=None):
     """A valid sentence in any head order: its tokens are attached in a drawn
-    order, the first to the root and each other to one attached before it."""
+    order, the first to the root and each other to one attached before it.
+    Token i's form is drawn from `forms`, or is "w<i>" without them."""
     n = draw(st.integers(1, max_size))
     order = draw(st.permutations(range(1, n + 1)))
     heads = {order[0]: 0}
     for k in range(1, n):
         heads[order[k]] = order[draw(st.integers(0, k - 1))]
-    tokens = [Token(i, f"w{i}", draw(st.sampled_from(lemmas)),
+    tokens = [Token(i, f"w{i}" if forms is None else draw(st.sampled_from(forms)),
+                    draw(st.sampled_from(lemmas)),
                     draw(st.sampled_from(upos)), heads[i],
                     draw(st.sampled_from(deprels)))
               for i in range(1, n + 1)]

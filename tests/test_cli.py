@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mf import Store, cli, lm
+from mf import Store, cli, conllu, lm
 from mf.cli import main
 
 from .corpusgen import FIXTURES
@@ -581,9 +581,9 @@ def test_seed1_workload_artifacts_match_digests(workload, cached, tmp_path):
     # the seed-1 benchmark inputs, run stage by stage the way perfbench/run.py
     # does, kept byte for byte: build extracts the four shards and generalizes,
     # the others run on the raw store. The cached case runs every stage a
-    # second time in the same work directory, where the store's index file
-    # and the topic vectors are then read instead of the store and the
-    # topic matrix.
+    # second time in the same work directory, where the store's index file,
+    # the topic vectors and the corpus's sentences are then read instead of
+    # the store, the topic matrix and the corpus.
     gen = Path(__file__).parents[1] / "perfbench" / "gen.py"
     inputs, wd = tmp_path / "in", tmp_path / "out"
     described = subprocess.run(
@@ -613,8 +613,9 @@ def test_seed1_workload_artifacts_match_digests(workload, cached, tmp_path):
             assert run("find-lms", *targets, "--corpus", inputs / "corpus.conllu",
                        *expansion, *args) == 0
 
-    # no build stage loads a topic matrix
-    caches = ["store.tsv.idx"] + ([] if workload == "build" else ["topics.vec"])
+    # no build stage loads a topic matrix, and only find-lms caches a corpus
+    caches = ["store.tsv.idx"] + ([] if workload == "build" else ["topics.vec"]) \
+        + (["corpus.conllu.snt"] if workload == "retrieve" else [])
     if cached:
         stages()
         if workload == "build":
@@ -758,13 +759,65 @@ def test_find_lms_parses_each_shard_once(workdir, tmp_path, monkeypatch):
     parsed = []
     iter_sentences = cli.iter_sentences
 
-    def counting(source):
+    def counting(source, cache=None):
         parsed.append(source)
-        return iter_sentences(source)
+        return iter_sentences(source, cache)
     monkeypatch.setattr(cli, "iter_sentences", counting)
     assert run("find-lms", "--target", "poverty", "--target", "crime",
                "--corpus", *shards, *args) == 0
     assert sorted(map(str, parsed)) == sorted(map(str, shards))
+
+
+def _unparsed(*args, **kwargs):
+    raise AssertionError("a shard was parsed")
+
+
+def test_find_lms_warm_run_parses_nothing(workdir, capsys, monkeypatch):
+    args = _poverty_and_crime_cms(workdir) + [
+        "--corpus", FIXTURES / "poverty.conllu", "--target", "poverty", "--target", "crime"]
+    capsys.readouterr()
+    outputs = []
+    for warm in (False, True):
+        if warm:
+            assert (workdir / "poverty.conllu.snt").exists()
+            monkeypatch.setattr(conllu, "_parse", _unparsed)
+        assert run("find-lms", *args) == 0
+        outputs.append((capsys.readouterr().out, [
+            (workdir / f"lms.{t}.jsonl").read_bytes() for t in ("poverty", "crime")]))
+    assert outputs[0] == outputs[1]
+    assert all(outputs[0][1])
+
+
+def test_find_lms_parses_an_edited_shard_again(workdir, tmp_path):
+    args = _poverty_and_crime_cms(workdir) + ["--target", "poverty", "--target", "crime"]
+    blocks = (FIXTURES / "poverty.conllu").read_text("utf-8").strip().split("\n\n")
+    shard = tmp_path / "part.conllu"
+    shard.write_text("\n\n".join(blocks[:150]) + "\n", encoding="utf-8")
+    outputs = []
+    # the shard, then the edited shard through the old cache file, then with none
+    for edited in (False, True, True):
+        if edited:
+            shard.write_text("\n\n".join(blocks[150:]) + "\n", encoding="utf-8")
+        assert run("find-lms", "--corpus", shard, *args) == 0
+        outputs.append([(workdir / f"lms.{t}.jsonl").read_bytes()
+                        for t in ("poverty", "crime")])
+        cache = workdir / "part.conllu.snt"
+        outputs[-1].append(cache.read_bytes())
+        if len(outputs) > 1:
+            cache.unlink()
+    assert outputs[0] != outputs[1] == outputs[2]
+
+
+def test_find_lms_shard_that_fails_its_checks_leaves_no_cache(workdir, tmp_path, capsys):
+    args = _poverty_and_crime_cms(workdir) + ["--target", "poverty"]
+    shard = tmp_path / "bad.conllu"
+    shard.write_text((FIXTURES / "poverty.conllu").read_text("utf-8")
+                     + "\n1\tx\tx\tNOUN\t_\t_\t0\troot\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("find-lms", "--corpus", shard, *args) == 2
+    assert "expected 10 tab-separated columns" in capsys.readouterr().err
+    assert not (workdir / "bad.conllu.snt").exists()
+    assert not list(workdir.glob(".bad.conllu.snt.*"))
 
 
 def test_find_lms_expands_each_lexeme_once(workdir, monkeypatch):

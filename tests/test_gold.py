@@ -4,7 +4,7 @@ import shutil
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mf import Store, eval_gold, load_expansion_table, load_gold
+from mf import Store, eval_gold, gold as gold_mod, load_expansion_table, load_gold
 from mf.errors import FormatError
 from mf.gold import GoldMapping
 
@@ -102,3 +102,19 @@ def test_render_lines(gold_fixture):
     text = eval_gold(gold, store, table, **PARAMS).render()
     assert text.endswith("found 10 of 13\n")
     assert "Machines->People: none" in text
+
+
+def test_eval_gold_ranks_each_target_once(gold_fixture, monkeypatch):
+    gold, store, table = gold_fixture
+    # a second mapping of the same targets: its targets are ranked already
+    gold = gold + [mapping._replace(name=f"{mapping.name} again") for mapping in gold]
+    expected = eval_gold(gold, store, table, **PARAMS).render()
+    ranked = []
+    rank_sources = gold_mod.rank_sources
+
+    def counting(target, *rest):
+        ranked.append(target)
+        return rank_sources(target, *rest)
+    monkeypatch.setattr(gold_mod, "rank_sources", counting)
+    assert eval_gold(gold, store, table, **PARAMS).render() == expected
+    assert ranked and sorted(ranked) == sorted(set(ranked))

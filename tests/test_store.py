@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mf
-from mf import (PatternKey, Proposition, Store, generate_sources, load_topic_matrix,
-                merge_stores, salient_properties, textio)
+from mf import (PatternKey, Proposition, Store, generate_sources, iter_sentences,
+                load_topic_matrix, merge_stores, salient_properties, textio)
+from mf.conllu import _CACHE_MAGIC as SENTENCES_MAGIC, _TYPECODES as SENTENCES_TYPECODES
 from mf.errors import FormatError, StoreStateError
 from mf.extraction import DEFAULT_RULES
 from mf.labels import label_arity
@@ -391,6 +392,15 @@ CACHES = {
                       load_topic_matrix(source, workdir / "topics.vec")),
                   lambda path: _vectors(load_topic_matrix(path)),
                   (1, "qd")),
+    "snt": _Cache("corpus.conllu", "corpus.conllu.snt", SENTENCES_MAGIC,
+                  lambda path, lexeme: path.write_text(
+                      "# sent_id = s1\n1\tFight\tfight\tVERB\t_\t_\t0\troot\t_\t_\n"
+                      f"2\t{lexeme}\t{lexeme}\tNOUN\t_\t_\t1\tobj\t_\t_\n",
+                      encoding="utf-8"),
+                  lambda source, workdir: list(
+                      iter_sentences(source, workdir / "corpus.conllu.snt")),
+                  lambda path: list(iter_sentences(path)),
+                  (3, SENTENCES_TYPECODES)),
 }
 
 
@@ -425,7 +435,8 @@ def test_stale_cache_file_rebuilt(tmp_path, cache):
                  id="other-byte-order"),
 ])
 def test_corrupt_index_file_refused_and_rebuilt(tmp_path, damage):
-    # each kind of cache file in turn: the store's index and the topic vectors
+    # each kind of cache file in turn: the store's index, the topic vectors
+    # and the sentences of a corpus shard
     for kind, cache in CACHES.items():
         workdir = tmp_path / kind
         workdir.mkdir()
@@ -475,6 +486,8 @@ def test_cache_file_bytes_match_the_pinned_digests(tmp_path):
     Store.load(tmp_path / "store.tsv").index
     load_topic_matrix(Path(__file__).parent / "fixtures" / "topics.tsv",
                       tmp_path / "topics.vec")
+    list(iter_sentences(Path(__file__).parent / "fixtures" / "poverty.conllu",
+                        tmp_path / "poverty.conllu.snt"))
     for line in (expected / "caches.sha256").read_text("utf-8").splitlines():
         digest, name = line.split()
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
