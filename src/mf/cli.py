@@ -22,15 +22,16 @@ extract creates the work directory.
 store.tsv.idx and store.gen.tsv.idx hold the index of their store. They
 are a cache: the first stage that queries a store writes its index file,
 and later stages read it in place of the store. A stage reads one only when
-both sha256 digests in its header match (of the store's bytes and of the
-index's own payload), and otherwise rebuilds it; extract and generalize
-never write one. Both are safe to delete.
+both sha256 digests in its header match (of the store bytes that a parse
+read, hashed as they streamed, so no stage holds a copy of the file, and
+of the index's own payload), and otherwise rebuilds it; extract and
+generalize never write one. Both are safe to delete.
 
 topics.vec caches the checked vectors of the topic matrix in the same
 cache-file format. sources, cms and eval-gold read it in place of the
 matrix while its header holds the sha256 of the matrix file's bytes, and
-otherwise parse the matrix and write it again; no other stage writes it.
-It is safe to delete.
+otherwise parse the matrix, hashing it as it streams, and write it again;
+no other stage writes it. It is safe to delete.
 
 <shard>.snt, named after each corpus shard's file name, caches the shard's
 checked sentences in the same cache-file format. Only find-lms reads or

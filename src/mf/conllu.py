@@ -15,14 +15,15 @@ The sentences of a path can be cached in a `textio` cache file: the file
 name, the sentence ids and the interned words as tables, and as columns
 each sentence's first token and each token's form, lemma, UPOS and deprel
 ids and head. It is written only once every sentence has passed its
-checks, and read in place of parsing the file while the sha256 of the
-file's bytes still matches and it names the file.
+checks, with the sha256 of the bytes the parse read, and read in place of
+parsing the file while that digest still matches and it names the file.
 """
 
 import re
 from array import array
+from collections import defaultdict
 from itertools import chain, islice, repeat
-from operator import lt, sub
+from operator import itemgetter, lt, sub
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -46,10 +47,6 @@ class Token(NamedTuple):
 class Sentence(NamedTuple):
     id: str
     tokens: tuple[Token, ...] = ()
-
-    def token_at(self, index: int) -> Token:
-        """Tokens are 1-based and contiguous, so position maps directly."""
-        return self.tokens[index - 1]
 
     @property
     def text(self) -> str:
@@ -95,8 +92,8 @@ _CACHE_MAGIC = b"mf-snt\x00\x01"
 # deprel ids (unsigned, so an id is never read from the end of the table)
 # and head
 _TYPECODES = "qIIIIi"
-# the token fields the parser hands a cache write at a time: five a token
-_CHUNK = 1 << 11
+_WORDS, _HEAD = itemgetter(1, 2, 3, 5), itemgetter(4)  # of a token
+_CHUNK = 400  # the tokens whose words are numbered at a time
 
 
 def iter_sentences(source: TextSource, cache: Optional[Path] = None) -> Iterator[Sentence]:
@@ -108,9 +105,8 @@ def iter_sentences(source: TextSource, cache: Optional[Path] = None) -> Iterator
 
     When `source` is a path and `cache` is given, the sentences are read
     from the cache file if it was written for the bytes and the name of
-    this file.
-    Otherwise the file is parsed, and the cache file written once the last
-    sentence has been read; a cache file that cannot be written is skipped.
+    this file. Otherwise the file is parsed, and the cache file written
+    once the last sentence has been read; one that cannot be written is skipped.
     """
     path = textio.as_path(source)
     if path is None or cache is None:
@@ -121,18 +117,15 @@ def iter_sentences(source: TextSource, cache: Optional[Path] = None) -> Iterator
     if replay is not None:
         yield from replay
         return
-    data = path.read_bytes()
-    columns = _Columns()
-    for sentence in _parse(textio.lines(path, data), f"{path.name}:", columns.fields):
+    digest, columns = textio.sha256(), _Columns()
+    for sentence in _parse(textio.lines(path, digest), f"{path.name}:"):
         columns.add(sentence)
         yield sentence
-    columns.save(cache, data, path.name)
+    columns.save(cache, digest.digest(), path.name)
 
 
-def _parse(lines: Iterable[str], prefix: str,
-           fields: Optional[list] = None) -> Iterator[Sentence]:
-    """The sentences of CoNLL-U lines; `fields`, if given, gets each token's
-    form, lemma, UPOS, deprel and head in turn."""
+def _parse(lines: Iterable[str], prefix: str) -> Iterator[Sentence]:
+    """The sentences of CoNLL-U lines."""
     rows: list[Token] = []
     sent_id = None
     count = 0
@@ -146,11 +139,8 @@ def _parse(lines: Iterable[str], prefix: str,
             if (tok_id.isdigit() and head.isdigit()
                     and tok_id.isascii() and head.isascii()):
                 lemma = (lemma if lemma and lemma != "_" else form).lower()
-                head = int(head)
                 rows.append(tuple.__new__(Token, (int(tok_id), form, lemma, upos,
-                                                  head, deprel)))
-                if fields is not None:
-                    fields += form, lemma, upos, deprel, head
+                                                  int(head), deprel)))
                 continue
         line = line.rstrip("\n").rstrip("\r")
         if not line.strip():
@@ -179,25 +169,17 @@ def _parse(lines: Iterable[str], prefix: str,
             raise ConlluParseError(f"non-numeric HEAD {head!r}", lineno)
 
 
-class _WordIds(dict):
-    """Each word's id, given in the order the words are first looked up."""
-
-    def __missing__(self, word: str) -> int:
-        self[word] = n = len(self)
-        return n
-
-
 class _Columns:
-    """A shard's sentences as the tables and columns of its cache file. The
-    parser puts each token's fields in `fields`; a few hundred tokens at a
-    time, while their words are likely still in the processor's caches, the
-    heads go to their column and the words are numbered by one map, so only
-    a new word costs a Python call."""
+    """A shard's sentences as the tables and columns of its cache file. A
+    few hundred tokens at a time, while their words are likely still in the
+    processor's caches, the heads go to their column and the words are
+    numbered by one map, so only a new word costs a Python call."""
 
     def __init__(self):
         self.ids: list[str] = []
-        self.word_ids = _WordIds()
-        self.fields: list = []  # not yet in the columns
+        self.word_ids = defaultdict()  # each word's id, in the order first looked up
+        self.word_ids.default_factory = self.word_ids.__len__
+        self.tokens: list[Token] = []  # not yet in the columns
         self.starts = array("q", [0])
         self.token_words = array("I")  # each token's four word ids in turn
         self.heads = array("i")
@@ -205,21 +187,22 @@ class _Columns:
     def add(self, sentence: Sentence) -> None:
         self.ids.append(sentence.id)
         self.starts.append(self.starts[-1] + len(sentence.tokens))
-        if len(self.fields) >= _CHUNK:
+        self.tokens += sentence.tokens
+        if len(self.tokens) >= _CHUNK:
             self._fill()
 
     def _fill(self) -> None:
-        fields = self.fields
-        self.heads.fromlist(fields[4::5])
-        del fields[4::5]
-        self.token_words.fromlist(list(map(self.word_ids.__getitem__, fields)))
-        fields.clear()
+        tokens = self.tokens
+        self.heads.fromlist(list(map(_HEAD, tokens)))
+        self.token_words.fromlist(list(map(self.word_ids.__getitem__,
+                                           chain.from_iterable(map(_WORDS, tokens)))))
+        tokens.clear()
 
-    def save(self, cache: Path, data: bytes, name: str) -> None:
-        """Write the cache file for the source file of bytes `data`."""
+    def save(self, cache: Path, digest: bytes, name: str) -> None:
+        """Write the cache file for the source file of sha256 `digest`."""
         self._fill()
         word_columns = [self.token_words[k::4] for k in range(4)]
-        textio.write_cache(cache, _CACHE_MAGIC, data, ([name], self.ids, self.word_ids),
+        textio.write_cache(cache, _CACHE_MAGIC, digest, ([name], self.ids, self.word_ids),
                            [self.starts, *word_columns, self.heads])
 
 

@@ -6,8 +6,8 @@ hashing, equality and ordering run at C speed. A store counts identical
 tuples, checking each against its label's slot count, then freezes into
 its int columns (`StoreIndex`) and nothing else. A store loaded from a
 path writes its columns to `<path>.idx` when its first query builds them,
-and a later load reads that cache instead of parsing the store while the
-sha256 of the store's bytes and of the index's payload match its header.
+and a later load reads that cache instead of parsing the store while its
+header holds the sha256 of the bytes a parse read and of its payload.
 """
 
 from array import array
@@ -186,9 +186,9 @@ class StoreIndex:
         words[position] = None
         return tuple.__new__(PatternKey, (self.labels[self.row_label[row]], tuple(words)))
 
-    def save(self, path: Path, store_bytes: bytes) -> None:
-        """Write the index atomically, for the store file of these bytes."""
-        textio.write_cache(path, _MAGIC, store_bytes, (self.labels, self.lexemes),
+    def save(self, path: Path, store_digest: bytes) -> None:
+        """Write the index atomically, for the store file of sha256 `store_digest`."""
+        textio.write_cache(path, _MAGIC, store_digest, (self.labels, self.lexemes),
                            [getattr(self, name) for name in _NAMES])
 
     @classmethod
@@ -227,11 +227,10 @@ def _counted(prop: Proposition, frequency: int, count: int = 0) -> int:
     return count
 
 
-def _parse(source: TextSource, data: Optional[bytes],
-           count: Callable) -> Iterator[tuple[Proposition, int]]:
+def _parse(source: TextSource, count: Callable) -> Iterator[tuple[Proposition, int]]:
     """The (tuple, frequency) rows of a store TSV, each passed to `count`
     first; a FormatError, from the row or from `count`, names the row."""
-    for rowno, cols in textio.rows(textio.lines(source, data)):
+    for rowno, cols in textio.rows(source):
         if len(cols) < 3:
             raise FormatError("expected label, slots..., frequency", rowno)
         label, *words, freq = cols
@@ -256,7 +255,7 @@ class Store:
     def __init__(self):
         self._counts: Optional[dict[Proposition, int]] = {}  # None once frozen
         self._columns: Optional[StoreIndex] = None
-        self._index_file: Optional[tuple[Path, bytes]] = None  # (.idx, store bytes)
+        self._index_file: Optional[tuple[Path, bytes]] = None  # (.idx, store sha256)
 
     def _require_mutable(self):
         if self._counts is None:
@@ -355,17 +354,20 @@ class Store:
         instead; a file in row order, as `save` writes it, is parsed straight
         into the row columns, and lines or a file out of order are counted first."""
         path = textio.as_path(source)
-        store, data = cls(), None
+        store, digest = cls(), None
         if path is not None:
             index_file = path.with_name(path.name + ".idx")
             store._columns = StoreIndex.read(index_file, path)
             if store._columns is None:
-                data = path.read_bytes()
-                store._index_file = (index_file, data)
-                store._columns = StoreIndex.build(_parse(path, data, _counted))
-        if store._columns is None:
-            for _ in _parse(source, data, store.add):
+                digest = textio.sha256()
+                store._columns = StoreIndex.build(_parse(textio.lines(path, digest), _counted))
+        if store._columns is None:  # lines, or a file out of order: counted
+            if digest is not None:  # the first read stopped early: hash the second
+                digest = textio.sha256()
+            for _ in _parse(textio.lines(source, digest), store.add):
                 pass
+        if digest is not None:
+            store._index_file = (index_file, digest.digest())
         return store.freeze()
 
 

@@ -2,8 +2,9 @@
 
 Every reader takes a path, as a str or a Path (gzip is detected by its
 magic bytes), or lines: an open text file or any iterable of lines. A str
-is always a path. A path that is not UTF-8, or a gzip file that is
-truncated or corrupt, is a FormatError naming the path and the line.
+is always a path, which `lines`, the one opener, streams from disk. A
+path that is not UTF-8, or a gzip file that is truncated or corrupt, is a
+FormatError naming the path and the line.
 
 Tabular files are read as rows of tab-separated columns. Blank lines are
 skipped, and a line starting with '#' is a comment only if it comes before
@@ -18,14 +19,15 @@ succeeded, so a failed stage never leaves a half-written artifact behind;
 
 A cache file holds a payload derived from a source file, for a later read
 in place of parsing that file again. Its header holds a magic string with
-the format version, this machine's byte order, the sha256 of the source
-file's bytes and the sha256 of the payload. The payload holds the int64
-byte size of each string table and the length of each typed column, then
-the tables, one string per line, then the columns in this machine's byte
-order. A read decodes the tables and returns each column as a view over
-its own bytes, so the tables' bytes are not kept. A cache file is
-read only when the header matches and the sizes fit the tables and columns
-the reader expects, and it is always safe to delete.
+the format version, this machine's byte order, the sha256 of the bytes a
+parse of the source read, which `lines` hashes as they stream, so no
+reader holds a copy of the file, and the sha256 of the payload. The
+payload holds the int64 byte size of each string table and the length of
+each typed column, then the tables, one string per line, then the columns
+in this machine's byte order. A read decodes the tables and returns each
+column as a view over its own bytes, so the tables' bytes are not kept. A
+cache file is read only when the header matches and the sizes fit the
+tables and columns the reader expects, and it is always safe to delete.
 """
 
 import gzip
@@ -62,36 +64,48 @@ def as_path(source: TextSource) -> Optional[Path]:
     return Path(source) if isinstance(source, (str, Path)) else None
 
 
-def lines(source: TextSource, data: Optional[bytes] = None) -> Iterator[str]:
-    """Stream the lines of a source, line endings kept. `data`, if given,
-    holds the bytes already read from the path, which are decoded instead
-    of reading the file again."""
+def lines(source: TextSource, digest=None) -> Iterator[str]:
+    """Stream the lines of a source, line endings kept. `digest`, a sha256
+    object, if given, is updated with every byte read from the path, so
+    once the last line is read it is the digest of the file's bytes."""
     path = as_path(source)
     if path is None:
         yield from source
         return
-
-    def raw() -> IO[bytes]:
-        return open(path, "rb") if data is None else io.BytesIO(data)
-    with raw() as fh:
-        gz = fh.read(2) == _GZIP_MAGIC
     try:
-        with raw() as fh, io.TextIOWrapper(gzip.GzipFile(fileobj=fh) if gz else fh,
-                                           encoding="utf-8") as text:
-            yield from text
+        with open(path, "rb") if digest is None else io.BufferedReader(
+                _Digesting(path, digest), 1 << 16) as fh:
+            gz = fh.peek(2)[:2] == _GZIP_MAGIC
+            with io.TextIOWrapper(gzip.GzipFile(fileobj=fh) if gz else fh,
+                                  encoding="utf-8") as text:
+                yield from text
     except _UNREADABLE as exc:
         what = ("not UTF-8" if isinstance(exc, UnicodeDecodeError)
                 else f"truncated or corrupt gzip ({exc})")
         raise FormatError(f"{path}: {what} at line "
-                          f"{_first_unreadable_line(raw, gz)}") from None
+                          f"{_first_unreadable_line(path, gz)}") from None
 
 
-def _first_unreadable_line(raw, gz: bool) -> int:
+class _Digesting(io.FileIO):
+    """A file that adds to `digest` each byte that any read call reads."""
+    read, readall = io.RawIOBase.read, io.RawIOBase.readall  # through readinto
+
+    def __init__(self, path: Path, digest):
+        super().__init__(path)
+        self.digest = digest
+
+    def readinto(self, buffer) -> int:
+        n = super().readinto(buffer)
+        self.digest.update(memoryview(buffer)[:n])
+        return n
+
+
+def _first_unreadable_line(path: Path, gz: bool) -> int:
     # the text reader decodes a buffer ahead, so it fails before it reaches
     # the line at fault; reading line by line finds that line
     read = 0
     try:
-        with raw() as fh, (gzip.GzipFile(fileobj=fh) if gz else fh) as binary:
+        with open(path, "rb") as fh, (gzip.GzipFile(fileobj=fh) if gz else fh) as binary:
             for line in binary:
                 line.decode("utf-8")
                 read += 1
@@ -172,23 +186,22 @@ def writer(target: TextTarget) -> Iterator[IO[str]]:
             yield fh
 
 
-def write_cache(target: TextTarget, magic: bytes, source: bytes,
+def write_cache(target: TextTarget, magic: bytes, source_digest: bytes,
                 tables: Sequence[Iterable[str]], columns: Sequence) -> None:
     """Write a cache file atomically: the header for `magic` and the source
-    file of bytes `source`, then the payload of string tables and columns
-    (arrays or memoryviews), the columns written as they lie in memory. A
-    cache file that cannot be written is skipped: the next read parses the
-    source again."""
+    file whose bytes have the sha256 `source_digest`, then the payload of
+    string tables and columns (arrays or memoryviews), the columns written
+    as they lie in memory. A cache file that cannot be written is skipped:
+    the next read parses the source again."""
     texts = ["".join(s + "\n" for s in table).encode("utf-8") for table in tables]
     payload = [array("q", [len(t) for t in texts] + [len(c) for c in columns]),
                *texts, *columns]
-    digest = _sha256()
+    digest = sha256()
     for piece in payload:
         digest.update(piece)
     try:
         with atomic(target) as fh:
-            fh.write(_CACHE_HEADER.pack(magic, _BYTE_ORDER, _sha256(source).digest(),
-                                        digest.digest()))
+            fh.write(_CACHE_HEADER.pack(magic, _BYTE_ORDER, source_digest, digest.digest()))
             fh.writelines(payload)
     except OSError:
         pass
@@ -218,7 +231,7 @@ def read_cache(cache: TextTarget, magic: bytes, source: TextTarget, tables: int,
             pieces = [fh.read(span) for span in spans]
     except (OSError, EOFError, ValueError):  # no cache file, or one cut short
         return None
-    digest, source_digest = _sha256(sizes), _sha256()
+    digest, source_digest = sha256(sizes), sha256()
     for piece in pieces:
         digest.update(piece)
     with open(source, "rb") as fh:
@@ -235,8 +248,8 @@ def read_cache(cache: TextTarget, magic: bytes, source: TextTarget, tables: int,
                      for piece, t in zip(pieces[tables:], typecodes)]
 
 
-def _sha256(data=b""):
-    # imported here: hashlib loads OpenSSL, about 3 MiB of memory, which
-    # stages that neither read nor write a cache file do without
+def sha256(data=b""):
+    """A sha256 object, updated with `data`. hashlib is imported here: it loads
+    OpenSSL, about 3 MiB, which stages that use no cache file do without."""
     import hashlib
     return hashlib.sha256(data)

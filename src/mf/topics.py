@@ -95,9 +95,9 @@ def load_topic_matrix(source: TextSource, cache: Optional[Path] = None) -> Topic
             tm._start = dict(zip(words, range(0, len(vectors), tm.topics)))
             tm._vectors = vectors
             return tm
-    data = path.read_bytes()
-    tm = _parse(textio.lines(path, data))
-    textio.write_cache(cache, _CACHE_MAGIC, data, [tm._start],
+    digest = textio.sha256()
+    tm = _parse(textio.lines(path, digest))
+    textio.write_cache(cache, _CACHE_MAGIC, digest.digest(), [tm._start],
                        [array("q", [tm.topics]), tm._vectors])
     return tm
 

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import tempfile
 from array import array
 from pathlib import Path
@@ -247,7 +248,7 @@ def test_cache_whose_columns_do_not_fit_refused(tmp_path, damage):
     expected = list(iter_sentences(path, cache))
     good = cache.read_bytes()
     tables, columns = textio.read_cache(cache, _CACHE_MAGIC, path, 3, _TYPECODES)
-    textio.write_cache(cache, _CACHE_MAGIC, path.read_bytes(), *damage(
+    textio.write_cache(cache, _CACHE_MAGIC, hashlib.sha256(path.read_bytes()).digest(), *damage(
         tables, [array(t, c) for t, c in zip(_TYPECODES, columns)]))
     assert cache.read_bytes() != good
     assert list(iter_sentences(path, cache)) == expected

@@ -298,7 +298,7 @@ def _reference_slot_lemma(sentence, index, role, arcs):
 def _reference_match(rule, sentence, children):
     def upos_ok(var, index):
         allowed = rule.upos.get(var)
-        return not allowed or sentence.token_at(index).upos in allowed
+        return not allowed or sentence.tokens[index - 1].upos in allowed
 
     def extend(arc_i, binding):
         if arc_i == len(rule.arcs):

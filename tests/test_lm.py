@@ -121,7 +121,7 @@ def test_find_lms_arcs_exist(corpus_sentences):
     by_id = {s.id: s for s in corpus_sentences}
     for hit in hits:
         sent = by_id[hit.sentence_id]
-        t, s = sent.token_at(hit.target_token), sent.token_at(hit.source_token)
+        t, s = sent.tokens[hit.target_token - 1], sent.tokens[hit.source_token - 1]
         assert t.head == s.index or s.head == t.index
         assert hit.matched_target == t.lemma
         assert hit.matched_source == s.lemma

@@ -351,7 +351,7 @@ def test_store_has_one_shape_however_it_is_made(rng, entries):
             assert all(store.freq(prop) == freq for prop, freq in counted)
             assert store.freq(vn("absent", "absent")) == 0
             assert _queries(store) == expected
-            store.index.save(Path(tmp) / f"{n}.idx", path.read_bytes())
+            store.index.save(Path(tmp) / f"{n}.idx", hashlib.sha256(path.read_bytes()).digest())
             assert (Path(tmp) / f"{n}.idx").read_bytes() == index, n
 
 
@@ -470,11 +470,60 @@ def test_cache_file_of_another_shape_refused_and_rebuilt(tmp_path, cache, reshap
     expected = cache.load(source, tmp_path)
     good = cache_file.read_bytes()
     tables, columns = textio.read_cache(cache_file, cache.magic, source, *cache.shape)
-    textio.write_cache(cache_file, cache.magic, source.read_bytes(),
+    textio.write_cache(cache_file, cache.magic, hashlib.sha256(source.read_bytes()).digest(),
                        *reshape(tables, columns))
     assert textio.read_cache(cache_file, cache.magic, source, *cache.shape) is None
     assert cache.load(source, tmp_path) == expected
     assert cache_file.read_bytes() == good
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
+def test_cache_header_holds_the_digest_of_the_source_file(tmp_path, cache, packed):
+    # bytes 9-41 of the header: the sha256 of the bytes the parse read
+    source, cache_file = tmp_path / cache.source, tmp_path / cache.name
+    cache.write(source, "poverty")
+    if packed:
+        source.write_bytes(gzip.compress(source.read_bytes(), mtime=0))
+    cache.load(source, tmp_path)
+    assert cache_file.read_bytes()[9:41] == hashlib.sha256(source.read_bytes()).digest()
+
+
+def _read_whole(*args):
+    raise AssertionError("a whole file read into memory")
+
+
+def test_no_loader_reads_a_whole_file(tmp_path, cache):
+    source, cache_file = tmp_path / cache.source, tmp_path / cache.name
+    cache.write(source, "poverty")
+    expected = cache.parse(source)
+    with mock.patch("pathlib.Path.read_bytes", _read_whole):
+        assert cache.load(source, tmp_path) == expected  # parses, writes the cache
+        assert cache_file.exists()
+        with mock.patch("mf.textio.lines", side_effect=AssertionError("parsed")):
+            assert cache.load(source, tmp_path) == expected  # reads the cache
+
+
+def test_index_of_a_store_file_out_of_order_is_read_back(tmp_path):
+    # the first read stops at the second row, well before the end of the
+    # file, so the index must carry the digest of the second, whole read
+    path = tmp_path / "store.tsv"
+    rows = ["VN\tfight\tpoverty\t3", "VN\tcure\tpoverty\t1"]
+    rows += [f"VN\t{n:064d}\tx\t{n % 7 + 1}" for n in range(1000)]
+    path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    assert path.stat().st_size > 1 << 16
+    counted = Store()
+    for row in rows:
+        _, verb, noun, freq = row.split("\t")
+        counted.add(vn(verb, noun), int(freq))
+    expected = list(counted.freeze())
+    with mock.patch("pathlib.Path.read_bytes", _read_whole):
+        store = Store.load(path)
+        assert list(store) == expected
+        store.index  # the first query writes store.tsv.idx
+        with mock.patch("mf.textio.rows", side_effect=AssertionError("parsed")):
+            assert list(Store.load(path)) == expected
+    index = (tmp_path / "store.tsv.idx").read_bytes()
+    assert index[9:41] == hashlib.sha256(path.read_bytes()).digest()
 
 
 @pytest.mark.skipif(sys.byteorder != "little",

@@ -1,7 +1,12 @@
+import gc
 import gzip
+import hashlib
+import io
 import json
 import os
+import random
 import time
+import warnings
 
 import pytest
 
@@ -87,3 +92,62 @@ def test_loaders_read_gzip_transparently(tmp_path, fixture, load, view):
     packed.write_bytes(gzip.compress(plain.read_bytes()))
     assert view(load(packed)) == view(load(plain))
     assert view(load(str(packed))) == view(load(plain))
+
+
+# files of each kind whose lines `lines` streams: plain, gzip, CRLF line
+# endings, empty, and larger than the 64 KiB a read takes at a time, as
+# text and as gzip
+_HEX = random.Random(1).randbytes(60_000).hex()
+STREAMED = {
+    "plain": b"T=2\nwar\t0.5\t0.5\n",
+    "gzip": gzip.compress(b"T=2\nwar\t0.5\t0.5\n", mtime=0),
+    "crlf": b"T=2\r\nwar\t0.5\t0.5\r\n",
+    "empty": b"",
+    "large": "".join(f"{n}\tna\u00efve\n" for n in range(20_000)).encode("utf-8"),
+    "large-gzip": gzip.compress("\n".join(_HEX[k:k + 80] for k in range(
+        0, len(_HEX), 80)).encode("ascii"), mtime=0),
+}
+
+
+@pytest.mark.parametrize("kind", list(STREAMED))
+def test_streamed_digest_is_the_file_digest(tmp_path, kind):
+    path = tmp_path / "a.txt"
+    path.write_bytes(STREAMED[kind])
+    if kind.startswith("large"):
+        assert len(STREAMED[kind]) > 1 << 16
+    digest = textio.sha256()
+    assert list(textio.lines(path, digest)) == list(textio.lines(path))
+    assert digest.digest() == hashlib.sha256(path.read_bytes()).digest()
+
+
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda fh: fh.read(), id="read"),
+    pytest.param(lambda fh: b"".join(iter(lambda: fh.read(1000), b"")), id="read-n"),
+    pytest.param(lambda fh: b"".join(iter(lambda: fh.read1(1000), b"")), id="read1"),
+    pytest.param(lambda fh: fh.peek(2) and b"".join(fh), id="peek-then-lines"),
+    pytest.param(lambda fh: fh.raw.readall(), id="raw-readall"),
+    pytest.param(lambda fh: b"".join(iter(lambda: fh.raw.read(1000), b"")), id="raw-read"),
+])
+def test_every_read_call_reaches_the_digest(tmp_path, read):
+    path = tmp_path / "a.txt"
+    path.write_bytes(STREAMED["large"])
+    digest = textio.sha256()
+    with io.BufferedReader(textio._Digesting(path, digest)) as fh:
+        assert read(fh) == STREAMED["large"]
+    assert digest.digest() == hashlib.sha256(STREAMED["large"]).digest()
+
+
+def test_a_reader_stopped_early_closes_its_file(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for kind in ("large", "large-gzip"):
+            path = tmp_path / kind
+            path.write_bytes(STREAMED[kind])
+            for digest in (None, textio.sha256()):
+                reader = textio.lines(path, digest)
+                next(reader)
+                reader.close()
+                del reader
+        gc.collect()
+    # a file left open would warn when it is collected
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
