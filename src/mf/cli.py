@@ -264,9 +264,7 @@ def cmd_cms(cfg: PipelineConfig) -> int:
                                      cfg.top_sources)
         cms = engine.build_cms(engine.cluster_sources(ranked, tax, cfg.k),
                                cfg.top_cms)
-        text = {p: p.text for p in set().union(*(c.shared_patterns for c in cms))}
-        body = ",\n  ".join(_cm_json(target, c, text) for c in cms)
-        _emit(wd / f"cms.{target}.json", [f"[\n  {body}\n]\n" if cms else "[]\n"],
+        _emit(wd / f"cms.{target}.json", [_cms_json(target, cms)],
               f"{len(cms)} conceptual metaphors")
     return 0
 
@@ -276,21 +274,25 @@ def cmd_cms(cfg: PipelineConfig) -> int:
 _JSON_STR = json.encoder.encode_basestring_ascii
 
 
-def _cm_json(target: str, cm: engine.SourceConcept, text: dict) -> str:
-    """A CM record as `json.dumps(records, indent=2, sort_keys=True)` writes
-    it in the list of records: members by (weight desc, lexeme), patterns by
+def _cms_json(target: str, cms: list[engine.SourceConcept]) -> str:
+    """The CM records as `json.dumps(records, indent=2, sort_keys=True)`
+    writes them, and a newline: members by (weight desc, lexeme), patterns by
     their text. A CM has at least one member and k >= 1 patterns."""
-    members = ",\n      ".join(
-        f'{{\n        "lexeme": {_JSON_STR(m.lexeme)},\n'
-        f'        "weight": {m.weight!r}\n      }}'
-        for m in sorted(cm.members, key=lambda m: (-m.weight, m.lexeme)))
-    patterns = ",\n      ".join(map(_JSON_STR, sorted(map(text.__getitem__,
-                                                             cm.shared_patterns))))
-    return (f'{{\n    "members": [\n      {members}\n    ],\n'
-            f'    "patterns": [\n      {patterns}\n    ],\n'
-            f'    "source_node": {_JSON_STR(cm.node)},\n'
-            f'    "target": [\n      {_JSON_STR(target)}\n    ],\n'
-            f'    "weight": {cm.weight!r}\n  }}')
+    text = {p: p.text for p in set().union(*(c.shared_patterns for c in cms))}
+    records = []
+    for cm in cms:
+        members = ",\n      ".join(
+            f'{{\n        "lexeme": {_JSON_STR(m.lexeme)},\n'
+            f'        "weight": {m.weight!r}\n      }}'
+            for m in sorted(cm.members, key=lambda m: (-m.weight, m.lexeme)))
+        patterns = ",\n      ".join(map(_JSON_STR, sorted(map(text.__getitem__,
+                                                                 cm.shared_patterns))))
+        records.append(f'{{\n    "members": [\n      {members}\n    ],\n'
+                       f'    "patterns": [\n      {patterns}\n    ],\n'
+                       f'    "source_node": {_JSON_STR(cm.node)},\n'
+                       f'    "target": [\n      {_JSON_STR(target)}\n    ],\n'
+                       f'    "weight": {cm.weight!r}\n  }}')
+    return "[\n  " + ",\n  ".join(records) + "\n]\n" if records else "[]\n"
 
 
 def _load_sidecar(cfg: PipelineConfig) -> dict[str, str]:

@@ -6,8 +6,9 @@ passives are folded into the active frame (nsubj:pass fills the object
 slot, obl:agent the subject slot), and subjects are propagated down xcomp
 chains so controlled verbs see their logical subject. Declarative rules
 then match connected arc templates over that index and emit
-pattern-labeled lemma tuples. Each rule is compiled once into a join plan:
-its first arc is bound from the sentence's arcs of that relation, and each
+pattern-labeled lemma tuples. Each rule is compiled once into a join plan
+from its template's root, so its arcs may come in any order: the root's
+first arc is bound from the sentence's arcs of that relation, and each
 later arc is one (head, relation) lookup per binding.
 
 Rules are data: each names a pattern label, a list of arcs over variables,
@@ -67,21 +68,8 @@ class ExtractionRule:
                  upos: Mapping[str, frozenset[str]] | None = None,
                  slots: tuple[str, ...] = ()):
         upos = {} if upos is None else upos
-        for arc in arcs:
-            if arc.head == arc.dep:
-                raise FormatError(f"arc {arc.head}->{arc.dep} is a self-loop")
-        variables = {v for arc in arcs for v in (arc.head, arc.dep)}
-        if len(slots) != label_arity(label):
-            raise FormatError(f"rule {label}: {len(slots)} slot variables for "
-                              f"arity-{label_arity(label)} label")
-        if len(set(slots)) != len(slots):
-            raise FormatError(f"rule {label}: slot variables must be distinct")
-        if not set(slots) | set(upos) <= variables:
-            raise FormatError(f"rule {label}: slot or UPOS variable not in an arc")
         self.label, self.upos, self.slots = label, upos, slots
-        # arcs must be orderable so each one has its head already bound
-        self.arcs = _order_arcs(label, arcs)
-        self.plan = _compile(self)
+        self.arcs, self.plan = _compile(label, arcs, upos, slots)
 
     def _key(self) -> tuple:
         return self.label, self.arcs, self.upos, self.slots
@@ -93,44 +81,46 @@ class ExtractionRule:
         return "ExtractionRule(label=%r, arcs=%r, upos=%r, slots=%r)" % self._key()
 
 
-def _order_arcs(label: str, arcs: tuple[RuleArc, ...]) -> tuple[RuleArc, ...]:
+def _compile(label: str, arcs: tuple[RuleArc, ...], upos: Mapping[str, frozenset[str]],
+             slots: tuple[str, ...]) -> tuple[tuple[RuleArc, ...], JoinPlan]:
+    """Check a rule and compile it in one walk from its template's root (the
+    first head no arc binds as a dependent, or else the first arc's head),
+    taking each arc once its head is bound. Returns the arcs in that order
+    and the plan; a missing or empty UPOS set accepts any UPOS."""
+    for arc in arcs:
+        if arc.head == arc.dep:
+            raise FormatError(f"arc {arc.head}->{arc.dep} is a self-loop")
+    if len(slots) != label_arity(label):
+        raise FormatError(f"rule {label}: {len(slots)} slot variables for "
+                          f"arity-{label_arity(label)} label")
+    if len(set(slots)) != len(slots):
+        raise FormatError(f"rule {label}: slot variables must be distinct")
+    deps = {arc.dep for arc in arcs}
+    if not set(slots) | set(upos) <= deps | {arc.head for arc in arcs}:
+        raise FormatError(f"rule {label}: slot or UPOS variable not in an arc")
     if not arcs:
         raise FormatError(f"rule {label}: needs at least one arc")
-    ordered = [arcs[0]]
-    bound = {arcs[0].head, arcs[0].dep}
-    remaining = list(arcs[1:])
+    order = [next((arc.head for arc in arcs if arc.head not in deps), arcs[0].head)]
+    remaining, ordered, steps = list(arcs), [], []
     while remaining:
-        for i, arc in enumerate(remaining):
-            if arc.head in bound:
-                bound.add(arc.dep)
-                ordered.append(remaining.pop(i))
-                break
-        else:
+        arc = next((arc for arc in remaining if arc.head in order), None)
+        if arc is None:
             raise FormatError(f"rule {label}: arc template is not connected")
-    return tuple(ordered)
-
-
-def _compile(rule: ExtractionRule) -> JoinPlan:
-    """Number the variables in the order the ordered arcs bind them. A
-    missing or empty UPOS set accepts any UPOS."""
-    order = [rule.arcs[0].head]
-    steps = []
-    for arc in rule.arcs:
+        remaining.remove(arc)
+        ordered.append(arc)
         dep = order.index(arc.dep) if arc.dep in order else _NEW
         steps.append(_Step(order.index(arc.head), dep, tuple(sorted(arc.rels)),
-                           rule.upos.get(arc.dep) or None))
+                           upos.get(arc.dep) or None))
         if dep == _NEW:
             order.append(arc.dep)
-    first = steps[0]
-    anchor = rule.upos.get(order[0]) or None
+    first, anchor = steps[0], upos.get(order[0]) or None
     key = repr([first.rels, sorted(anchor or ()), sorted(first.upos or ())])
-    roles = label_roles(rule.label)
-    positions = [order.index(v) for v in rule.slots]
+    positions = [order.index(v) for v in slots]
     # itemgetter of one index returns the item, and of a one-item slice a 1-tuple
     pick = itemgetter(*positions) if len(positions) > 1 else itemgetter(
         slice(positions[0], positions[0] + 1))
-    return JoinPlan(anchor, first, key, tuple(steps[1:]), pick,
-                    tuple(i for i, role in enumerate(roles) if role == ROLE_PREP))
+    preps = tuple(i for i, role in enumerate(label_roles(label)) if role == ROLE_PREP)
+    return tuple(ordered), JoinPlan(anchor, first, key, tuple(steps[1:]), pick, preps)
 
 
 ArcIndex = tuple[dict[str, list[tuple[int, int]]], dict[tuple[int, str], list[int]]]

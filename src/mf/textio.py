@@ -2,9 +2,10 @@
 
 Every reader takes a path, as a str or a Path (gzip is detected by its
 magic bytes), or lines: an open text file or any iterable of lines. A str
-is always a path, which `lines`, the one opener, streams from disk. A
-path that is not UTF-8, or a gzip file that is truncated or corrupt, is a
-FormatError naming the path and the line.
+is always a path, which `lines`, the one opener, streams from disk,
+skipping a leading UTF-8 byte-order mark. A path that is not UTF-8, or a
+gzip file that is truncated or corrupt, is a FormatError naming the path
+and the line. Writers write UTF-8 without a byte-order mark.
 
 Tabular files are read as rows of tab-separated columns. Blank lines are
 skipped, and a line starting with '#' is a comment only if it comes before
@@ -65,9 +66,10 @@ def as_path(source: TextSource) -> Optional[Path]:
 
 
 def lines(source: TextSource, digest=None) -> Iterator[str]:
-    """Stream the lines of a source, line endings kept. `digest`, a sha256
-    object, if given, is updated with every byte read from the path, so
-    once the last line is read it is the digest of the file's bytes."""
+    """Stream the lines of a source, line endings kept, and a path's without
+    a leading UTF-8 byte-order mark. `digest`, a sha256 object, if given, is
+    updated with every byte read from the path, so once the last line is
+    read it is the digest of the file's bytes, the mark included."""
     path = as_path(source)
     if path is None:
         yield from source
@@ -77,7 +79,7 @@ def lines(source: TextSource, digest=None) -> Iterator[str]:
                 _Digesting(path, digest), 1 << 16) as fh:
             gz = fh.peek(2)[:2] == _GZIP_MAGIC
             with io.TextIOWrapper(gzip.GzipFile(fileobj=fh) if gz else fh,
-                                  encoding="utf-8") as text:
+                                  encoding="utf-8-sig") as text:
                 yield from text
     except _UNREADABLE as exc:
         what = ("not UTF-8" if isinstance(exc, UnicodeDecodeError)

@@ -10,9 +10,11 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mf import Store, cli, conllu, lm
+from mf import Store, cli, conllu, engine, lm
 from mf.cli import main
+from mf.store import PatternKey
 
 from .corpusgen import FIXTURES
 
@@ -428,6 +430,34 @@ def test_cms_artifact_schema(workdir):
                             "weight"}
         assert rec["target"] == ["poverty"]
         assert rec["members"] and rec["patterns"]
+
+
+# any text, with quotes, backslashes, control characters, the line
+# separators JavaScript refuses and astral code points drawn often
+TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001f600'),
+                         st.characters()), max_size=6)
+WEIGHT = st.floats(allow_nan=False, allow_infinity=False)
+CMS = st.lists(st.builds(
+    engine.SourceConcept, TEXT,
+    st.lists(st.builds(engine.WeightedSource, TEXT, WEIGHT, st.just({})),
+             min_size=1, max_size=4).map(tuple),
+    st.frozensets(st.builds(PatternKey, st.sampled_from(["NV", "VN", "AN"]),
+                            st.tuples(st.none(), TEXT)), min_size=1, max_size=3),
+    WEIGHT), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TEXT, CMS)
+def test_cms_writer_is_json_dumps(target, cms):
+    records = [{
+        "members": [{"lexeme": m.lexeme, "weight": m.weight}
+                    for m in sorted(cm.members, key=lambda m: (-m.weight, m.lexeme))],
+        "patterns": sorted(p.text for p in cm.shared_patterns),
+        "source_node": cm.node, "target": [target], "weight": cm.weight,
+    } for cm in cms]
+    text = cli._cms_json(target, cms)
+    assert text == json.dumps(records, indent=2, sort_keys=True) + "\n"
+    assert json.loads(text) == records
 
 
 def test_find_lms_jsonl_schema(workdir):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -211,6 +212,105 @@ def test_rule_validation_errors():
                        {}, ("s", "v"))
 
 
+# each built-in rule's arcs as listed, and its plan: the first arcs' key,
+# every step as (head position, dependent position, relations), the slots'
+# positions in a binding and the P slots
+DEFAULT_PLANS = {
+    "NV": ([("v", "s")],
+        "[('nsubj',), ['VERB'], ['NOUN', 'PRON', 'PROPN']]",
+        [(0, -1, ("nsubj",))], (1, 0), ()),
+    "VN": ([("v", "o")],
+        "[('obj',), ['VERB'], ['NOUN', 'PRON', 'PROPN']]",
+        [(0, -1, ("obj",))], (0, 1), ()),
+    "NVV": ([("v1", "s"), ("v1", "v2")],
+        "[('nsubj',), ['VERB'], ['NOUN', 'PRON', 'PROPN']]",
+        [(0, -1, ("nsubj",)), (0, -1, ("ccomp", "xcomp"))], (1, 0, 2), ()),
+    "VPN": ([("v", "n"), ("n", "p")],
+        "[('nmod', 'obl'), ['VERB'], ['NOUN', 'PRON', 'PROPN']]",
+        [(0, -1, ("nmod", "obl")), (1, -1, ("case",))], (0, 2, 1), (1,)),
+    "NPN": ([("n1", "n2"), ("n2", "p")],
+        "[('nmod',), ['NOUN', 'PROPN'], ['NOUN', 'PRON', 'PROPN']]",
+        [(0, -1, ("nmod",)), (1, -1, ("case",))], (0, 2, 1), (1,)),
+    "NVPN": ([("v", "s"), ("v", "n"), ("n", "p")],
+        "[('nsubj',), ['VERB'], ['NOUN', 'PRON', 'PROPN']]",
+        [(0, -1, ("nsubj",)), (0, -1, ("nmod", "obl")), (2, -1, ("case",))],
+        (1, 0, 3, 2), (2,)),
+    "NVVPN": ([("v1", "s"), ("v1", "v2"), ("v2", "n"), ("n", "p")],
+        "[('nsubj',), ['VERB'], ['NOUN', 'PRON', 'PROPN']]",
+        [(0, -1, ("nsubj",)), (0, -1, ("ccomp", "xcomp")), (2, -1, ("nmod", "obl")),
+         (3, -1, ("case",))], (1, 0, 2, 4, 3), (3,)),
+    "NN": ([("h", "m")],
+        "[('compound',), ['NOUN', 'PROPN'], ['NOUN', 'PROPN']]",
+        [(0, -1, ("compound",))], (1, 0), ()),
+    "AN": ([("n", "a")],
+        "[('amod',), ['NOUN', 'PROPN'], ['ADJ']]",
+        [(0, -1, ("amod",))], (1, 0), ()),
+    "AdvPN": ([("a", "n"), ("n", "p")],
+        "[('nmod', 'obl'), ['ADJ', 'ADV'], ['NOUN', 'PRON', 'PROPN']]",
+        [(0, -1, ("nmod", "obl")), (1, -1, ("case",))], (0, 2, 1), (1,)),
+    "NVAdv": ([("v", "s"), ("v", "adv")],
+        "[('nsubj',), ['VERB'], ['NOUN', 'PRON', 'PROPN']]",
+        [(0, -1, ("nsubj",)), (0, -1, ("advmod",))], (1, 0, 2), ()),
+}
+
+
+def test_default_rules_keep_their_listed_order_and_plans():
+    assert [rule.label for rule in DEFAULT_RULES] == list(DEFAULT_PLANS)
+    for rule in DEFAULT_RULES:
+        arcs, first_key, steps, slots, preps = DEFAULT_PLANS[rule.label]
+        plan = rule.plan
+        assert [(arc.head, arc.dep) for arc in rule.arcs] == arcs
+        assert plan.first_key == first_key
+        assert [step[:3] for step in (plan.first, *plan.steps)] == steps
+        assert plan.pick(tuple(range(5))) == slots
+        assert plan.preps == preps
+
+
+def test_arcs_listed_in_any_order_compile_from_the_root():
+    # each arc is taken once its head is bound, in the order listed: every
+    # listing of NVVPN's arcs matches as the built-in rule does, and one that
+    # lists the root's two arcs in its order gives the built-in rule
+    nvvpn = next(rule for rule in DEFAULT_RULES if rule.label == "NVVPN")
+    expected = _props(CONTROL_CHAIN, [nvvpn])
+    assert expected
+    for arcs in itertools.permutations(nvvpn.arcs):
+        rule = ExtractionRule("NVVPN", arcs, nvvpn.upos, nvvpn.slots)
+        assert _props(CONTROL_CHAIN, [rule]) == expected
+        if arcs.index(nvvpn.arcs[0]) < arcs.index(nvvpn.arcs[1]):
+            assert rule == nvvpn and rule.arcs == nvvpn.arcs
+            assert rule.plan[:4] == nvvpn.plan[:4] and rule.plan.preps == nvvpn.plan.preps
+    vpn = next(rule for rule in DEFAULT_RULES if rule.label == "VPN")
+    root_last = ExtractionRule("VPN", vpn.arcs[::-1], vpn.upos, vpn.slots)
+    assert root_last == vpn and root_last.arcs == vpn.arcs
+    assert _props(MAJORITY, [root_last]) == _props(MAJORITY, [vpn]) == {
+        Proposition("VPN", ("live", "in", "poverty"))}
+
+
+def test_a_cyclic_template_starts_at_its_first_arc():
+    # every head is a dependent, so there is no root: the walk starts at the
+    # first arc's head, and the arcs keep the order they are listed in
+    v_s, s_v = RuleArc("v", "s", frozenset({"nsubj"})), RuleArc("s", "v", frozenset({"acl"}))
+    for arcs in [(v_s, s_v), (s_v, v_s)]:
+        rule = ExtractionRule("NV", arcs, {}, ("s", "v"))
+        assert rule.arcs == arcs
+        assert rule.plan.first.rels == tuple(arcs[0].rels) and rule.plan.steps[0].dep == 0
+    text = ("1\tpoverty\tpoverty\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
+            "2\tlive\tlive\tVERB\t_\t_\t0\troot\t_\t_\n")
+    assert _props(text, [ExtractionRule("NV", (v_s, s_v), {}, ("s", "v"))]) == set()
+
+
+@pytest.mark.parametrize("arcs", [
+    [{"head": "v", "dep": "s", "rels": ["nsubj"]}, {"head": "x", "dep": "s", "rels": ["obj"]}],
+    [{"head": "v", "dep": "s", "rels": ["nsubj"]}, {"head": "x", "dep": "y", "rels": ["obj"]}],
+], ids=["two-roots", "forest"])
+def test_a_template_not_connected_under_one_root_is_refused(tmp_path, arcs):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps([NV_ENTRY, {**NV_ENTRY, "arcs": arcs}]), encoding="utf-8")
+    with pytest.raises(FormatError, match="rule NV: arc template is not connected") as err:
+        load_rules(path)
+    assert err.value.row == 2
+
+
 def test_load_rules_roundtrip(tmp_path):
     rules_json = [{
         "label": "VN",
@@ -295,16 +395,34 @@ def _reference_slot_lemma(sentence, index, role, arcs):
     return " ".join(lemmas[i] for i in parts)
 
 
+def _reference_order(arcs):
+    """The anchor and the arcs in an order in which each arc's head is bound
+    before it, found apart from the compiler's walk: depth first from the
+    first variable, in sorted order, from which every arc is reached. Any
+    such order finds the same bindings."""
+    for anchor in sorted({v for arc in arcs for v in (arc.head, arc.dep)}):
+        ordered, stack, seen = [], [anchor], set()
+        while stack:
+            var = stack.pop()
+            if var not in seen:
+                seen.add(var)
+                ordered += [arc for arc in arcs if arc.head == var]
+                stack += [arc.dep for arc in arcs if arc.head == var]
+        if len(ordered) == len(arcs):
+            return anchor, ordered
+    raise AssertionError(f"no anchor reaches every arc of {arcs}")
+
+
 def _reference_match(rule, sentence, children):
     def upos_ok(var, index):
         allowed = rule.upos.get(var)
         return not allowed or sentence.tokens[index - 1].upos in allowed
 
     def extend(arc_i, binding):
-        if arc_i == len(rule.arcs):
+        if arc_i == len(arcs):
             yield dict(binding)
             return
-        arc = rule.arcs[arc_i]
+        arc = arcs[arc_i]
         for dep_idx, rel in children.get(binding[arc.head], ()):
             if rel not in arc.rels or not upos_ok(arc.dep, dep_idx):
                 continue
@@ -319,7 +437,7 @@ def _reference_match(rule, sentence, children):
                 yield from extend(arc_i + 1, binding)
                 del binding[arc.dep]
 
-    anchor = rule.arcs[0].head
+    anchor, arcs = _reference_order(rule.arcs)
     for tok in sentence.tokens:
         if upos_ok(anchor, tok.index):
             yield from extend(0, {anchor: tok.index})
@@ -364,7 +482,10 @@ LABELS = {2: "NV", 3: "NVV", 4: "NVPN", 5: "NVVPN"}
 @st.composite
 def rules(draw):
     """A connected rule over up to five variables. An arc's dependent may be
-    a variable an earlier arc bound, and a UPOS set may be empty."""
+    a variable an earlier arc bound, and a UPOS set may be empty. A template
+    whose first variable is no arc's dependent is rooted there, and its arcs
+    are listed in any order; any other keeps the order drawn, in which each
+    arc's head is bound before it."""
     variables = ["a"]
     arcs = []
     for _ in range(draw(st.integers(1, 4))):
@@ -375,6 +496,8 @@ def rules(draw):
             variables.append(fresh)
         rels = draw(st.frozensets(st.sampled_from(RELS), min_size=1, max_size=3))
         arcs.append(RuleArc(head, dep, rels))
+    if all(arc.dep != "a" for arc in arcs):
+        arcs = draw(st.permutations(arcs))
     upos = draw(st.dictionaries(st.sampled_from(variables),
                                 st.frozensets(st.sampled_from(UPOS), max_size=3)))
     slots = draw(st.permutations(variables))[:draw(st.integers(2, len(variables)))]

@@ -477,15 +477,21 @@ def test_cache_file_of_another_shape_refused_and_rebuilt(tmp_path, cache, reshap
     assert cache_file.read_bytes() == good
 
 
-@pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
-def test_cache_header_holds_the_digest_of_the_source_file(tmp_path, cache, packed):
-    # bytes 9-41 of the header: the sha256 of the bytes the parse read
+@pytest.mark.parametrize("form", [
+    pytest.param(lambda text: text, id="plain"),
+    pytest.param(lambda text: gzip.compress(text, mtime=0), id="gzip"),
+    pytest.param(lambda text: b"\xef\xbb\xbf" + text, id="byte-order-mark"),
+])
+def test_cache_header_holds_the_digest_of_the_source_file(tmp_path, cache, form):
+    # bytes 9-41 of the header: the sha256 of the bytes the parse read, a
+    # byte-order mark the text skips included
     source, cache_file = tmp_path / cache.source, tmp_path / cache.name
     cache.write(source, "poverty")
-    if packed:
-        source.write_bytes(gzip.compress(source.read_bytes(), mtime=0))
-    cache.load(source, tmp_path)
+    expected = cache.parse(source)
+    source.write_bytes(form(source.read_bytes()))
+    assert cache.load(source, tmp_path) == expected
     assert cache_file.read_bytes()[9:41] == hashlib.sha256(source.read_bytes()).digest()
+    assert cache.load(source, tmp_path) == expected
 
 
 def _read_whole(*args):

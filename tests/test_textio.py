@@ -1,3 +1,4 @@
+import ast
 import gc
 import gzip
 import hashlib
@@ -7,11 +8,13 @@ import os
 import random
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
-from mf import (Store, load_expansion_table, load_gold, load_rules, load_taxonomy,
-                load_topic_matrix, textio)
+from mf import (Store, iter_sentences, load_expansion_table, load_gold, load_rules,
+                load_taxonomy, load_topic_matrix, textio)
+from mf.cli import _load_sidecar
 from mf.config import PipelineConfig, load_config
 
 from .conftest import FIXTURES
@@ -67,14 +70,23 @@ WRITTEN = {
         "slots": ["v", "o"],
     }]),
     "pipeline.cfg": "# comment\ncorpus = corpus.conllu\nk = 3\ntargets = poverty, wealth\n",
+    "texts.tsv": "s1\tMajority live in poverty .\ns2\tPoverty is a disease .\n",
 }
+
+
+def _written(tmp_path, fixture):
+    if fixture not in WRITTEN:
+        return FIXTURES / fixture
+    path = tmp_path / fixture
+    path.write_text(WRITTEN[fixture], encoding="utf-8")
+    return path
 
 
 def _topic_view(tm):
     return tm.topics, {w: tuple(tm.vector(w)) for w in tm.vocabulary()}
 
 
-@pytest.mark.parametrize("fixture, load, view", [
+LOADERS = [
     ("gold/gold_store.tsv", Store.load, lambda store: store),
     ("topics.tsv", load_topic_matrix, _topic_view),
     ("expansion.tsv", load_expansion_table, dict),
@@ -82,16 +94,39 @@ def _topic_view(tm):
     ("taxonomy.tsv", load_taxonomy, lambda tax: vars(tax)),
     ("rules.json", load_rules, lambda rules: rules),
     ("pipeline.cfg", load_config, PipelineConfig._asdict),
-])
+]
+
+
+@pytest.mark.parametrize("fixture, load, view", LOADERS)
 def test_loaders_read_gzip_transparently(tmp_path, fixture, load, view):
-    plain = FIXTURES / fixture
-    if fixture in WRITTEN:
-        plain = tmp_path / fixture
-        plain.write_text(WRITTEN[fixture], encoding="utf-8")
+    plain = _written(tmp_path, fixture)
     packed = tmp_path / (plain.name + ".gz")
     packed.write_bytes(gzip.compress(plain.read_bytes()))
     assert view(load(packed)) == view(load(plain))
     assert view(load(str(packed))) == view(load(plain))
+
+
+@pytest.mark.parametrize("fixture, load, view", LOADERS + [
+    ("texts.tsv", lambda path: _load_sidecar(PipelineConfig(sidecar=str(path))), dict),
+    ("poverty.conllu", iter_sentences, list),
+])
+def test_loaders_skip_a_byte_order_mark(tmp_path, fixture, load, view):
+    # each read as text, which the mark would otherwise begin: a first row,
+    # key, lexeme or sentence id, or the JSON document
+    plain = _written(tmp_path, fixture)
+    marked = tmp_path / ("marked-" + plain.name)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    packed = tmp_path / (marked.name + ".gz")
+    packed.write_bytes(gzip.compress(marked.read_bytes()))
+    assert view(load(marked)) == view(load(plain))
+    assert view(load(packed)) == view(load(plain))
+
+
+def test_only_a_leading_byte_order_mark_is_skipped(tmp_path):
+    path = tmp_path / "a.tsv"
+    path.write_bytes("\ufeffpoverty\trel\tneed\n\ufeffwar\trel\tneed\n".encode("utf-8"))
+    assert list(textio.lines(path)) == ["poverty\trel\tneed\n", "\ufeffwar\trel\tneed\n"]
+    assert load_expansion_table(path) == {"poverty": {"need"}, "\ufeffwar": {"need"}}
 
 
 # files of each kind whose lines `lines` streams: plain, gzip, CRLF line
@@ -103,6 +138,7 @@ STREAMED = {
     "gzip": gzip.compress(b"T=2\nwar\t0.5\t0.5\n", mtime=0),
     "crlf": b"T=2\r\nwar\t0.5\t0.5\r\n",
     "empty": b"",
+    "bom": b"\xef\xbb\xbfT=2\nwar\t0.5\t0.5\n",
     "large": "".join(f"{n}\tna\u00efve\n" for n in range(20_000)).encode("utf-8"),
     "large-gzip": gzip.compress("\n".join(_HEX[k:k + 80] for k in range(
         0, len(_HEX), 80)).encode("ascii"), mtime=0),
@@ -151,3 +187,22 @@ def test_a_reader_stopped_early_closes_its_file(tmp_path):
         gc.collect()
     # a file left open would warn when it is collected
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+# the calls that open a file or read or write one whole
+_OPENERS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def test_textio_is_the_one_module_that_opens_files():
+    # `open` by name, and `io.open`, `gzip.open`, `Path.open` and the
+    # whole-file reads and writes by attribute, called or not
+    found = []
+    for path in sorted(Path(textio.__file__).parent.glob("*.py")):
+        if path.name == "textio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in _OPENERS:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
